@@ -4,9 +4,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "common/flags.h"
 #include "gap/shmoys_tardos.h"
 #include "gepc/solver.h"
 
@@ -16,36 +16,41 @@ namespace bench {
 /// Shared command-line knobs for the paper-reproduction harness binaries.
 ///   --scale=<0..1>   shrink city presets (users/events) proportionally
 ///   --trials=<n>     random atomic operations per IEP measurement
-///   --quick          preset: scale 0.25, trials 3 (CI-friendly)
+///   --quick          preset: scale 0.25, trials 3 (CI-friendly); an
+///                    explicit --scale or --trials wins in any order
 ///   --csv=PREFIX     also write machine-readable CSV series to
 ///                    PREFIX_<series>.csv (supported by the figure benches)
 ///   --json=FILE      write a flat JSON object of headline numbers to FILE
 ///                    (CI perf-trajectory artifact; see JsonResults)
+/// Values may also follow as the next argument (`--scale 0.5`).
 struct BenchFlags {
   double scale = 1.0;
   int trials = 5;
   std::string csv_prefix;
   std::string json_path;
 
+  /// Strict: an unknown flag or bad value prints the error and the flag
+  /// list above, then exits 64.
   static BenchFlags Parse(int argc, char** argv) {
     BenchFlags flags;
-    for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strncmp(arg, "--scale=", 8) == 0) {
-        flags.scale = std::atof(arg + 8);
-      } else if (std::strncmp(arg, "--trials=", 9) == 0) {
-        flags.trials = std::atoi(arg + 9);
-      } else if (std::strncmp(arg, "--csv=", 6) == 0) {
-        flags.csv_prefix = arg + 6;
-      } else if (std::strncmp(arg, "--json=", 7) == 0) {
-        flags.json_path = arg + 7;
-      } else if (std::strcmp(arg, "--quick") == 0) {
-        flags.scale = 0.25;
-        flags.trials = 3;
-      }
+    bool quick = false;
+    FlagTable table = {
+        Flag::Double("scale", &flags.scale, 0.0, 1.0, /*min_exclusive=*/true),
+        Flag::Int("trials", &flags.trials, 1, 1'000'000),
+        Flag::Bool("quick", &quick),
+        Flag::String("csv", &flags.csv_prefix),
+        Flag::String("json", &flags.json_path),
+    };
+    const Status parsed = table.Parse(argc, argv);
+    if (!parsed.ok()) {
+      std::fprintf(stderr,
+                   "error: %s\n\nflags: [--quick] [--scale=S] [--trials=N] "
+                   "[--csv=PREFIX] [--json=FILE]\n",
+                   parsed.message().c_str());
+      std::exit(64);
     }
-    if (flags.scale <= 0.0 || flags.scale > 1.0) flags.scale = 1.0;
-    if (flags.trials < 1) flags.trials = 1;
+    if (quick && !table.IsSet("scale")) flags.scale = 0.25;
+    if (quick && !table.IsSet("trials")) flags.trials = 3;
     return flags;
   }
 };

@@ -7,7 +7,6 @@
 #include "common/rng.h"
 #include "core/feasibility.h"
 #include "data/generator.h"
-#include "flow/hungarian.h"
 #include "flow/min_cost_flow.h"
 #include "gap/gap_lp.h"
 #include "gap/shmoys_tardos.h"
@@ -81,19 +80,6 @@ void BM_MinCostFlowAssignment(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MinCostFlowAssignment)->Arg(20)->Arg(50)->Arg(100);
-
-void BM_HungarianAssignment(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(15);
-  std::vector<double> cost(static_cast<size_t>(n) * static_cast<size_t>(n));
-  for (double& c : cost) c = rng.UniformDouble(0.0, 1.0);
-  for (auto _ : state) {
-    HungarianSolver solver(n, n, cost);
-    auto result = solver.Solve();
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_HungarianAssignment)->Arg(20)->Arg(50)->Arg(100);
 
 void BM_ConflictGraphBuild(benchmark::State& state) {
   Rng rng(13);

@@ -286,7 +286,9 @@ void NetServer::HandleAccept() {
     if (stop_requested_.load(std::memory_order_acquire) ||
         static_cast<int>(conns_.size()) >= options_.max_connections) {
       // Over capacity: best-effort Status frame, then goodbye. Never
-      // blocks — the frame is small and the socket buffer empty.
+      // blocks — the frame is small and the socket buffer empty. Counted
+      // first, so the refusal is in the counters once the client sees it.
+      connections_refused_total_->Increment();
       const std::string frame = EncodeFrame(
           FrameType::kStatus,
           StatusPayload("unavailable", "server full: " +
@@ -294,7 +296,6 @@ void NetServer::HandleAccept() {
                                            " connections"));
       [[maybe_unused]] const ssize_t n = write(fd, frame.data(), frame.size());
       close(fd);
-      connections_refused_total_->Increment();
       continue;
     }
     const int one = 1;

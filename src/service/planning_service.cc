@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <thread>
 #include <utility>
+#include <variant>
 
 #include "ckpt/checkpoint.h"
 #include "common/logging.h"
@@ -18,12 +19,12 @@ namespace gepc {
 
 namespace {
 
-ApplyOutcome ShutdownOutcome() {
-  ApplyOutcome outcome;
-  outcome.applied = false;
-  outcome.error = "service is shut down";
-  return outcome;
-}
+template <typename... Visitors>
+struct Overloaded : Visitors... {
+  using Visitors::operator()...;
+};
+template <typename... Visitors>
+Overloaded(Visitors...) -> Overloaded<Visitors...>;
 
 bool FileHasContent(const std::string& path) {
   std::error_code ec;
@@ -163,11 +164,12 @@ Result<std::unique_ptr<PlanningService>> PlanningService::Recover(
 
 PlanningService::~PlanningService() { Shutdown(); }
 
-std::future<ApplyOutcome> PlanningService::Submit(AtomicOp op) {
-  PendingOp pending;
-  pending.op = std::move(op);
+template <typename Request>
+auto PlanningService::Enqueue(Request request)
+    -> decltype(request.promise.get_future()) {
+  auto future = request.promise.get_future();
+  PendingOp pending{std::move(request)};
   if (obs::Enabled()) pending.enqueue_time = std::chrono::steady_clock::now();
-  std::future<ApplyOutcome> future = pending.promise.get_future();
   {
     std::lock_guard<std::mutex> lock(drain_mu_);
     ++tickets_issued_;
@@ -176,17 +178,23 @@ std::future<ApplyOutcome> PlanningService::Submit(AtomicOp op) {
   if (!queue_.Push(std::move(pending))) {
     // Closed: Push left `pending` untouched, so the promise is still ours.
     metrics_.RecordDropped();
-    pending.promise.set_value(ShutdownOutcome());
+    decltype(future.get()) outcome;
+    outcome.error = "service is shut down";
+    std::get<Request>(pending.request).promise.set_value(std::move(outcome));
     FinishOne();
   }
   return future;
 }
 
+std::future<ApplyOutcome> PlanningService::Submit(AtomicOp op) {
+  return Enqueue(OpRequest{std::move(op), {}});
+}
+
 Result<std::future<ApplyOutcome>> PlanningService::TrySubmit(AtomicOp op) {
-  PendingOp pending;
-  pending.op = std::move(op);
+  OpRequest request{std::move(op), {}};
+  std::future<ApplyOutcome> future = request.promise.get_future();
+  PendingOp pending{std::move(request)};
   if (obs::Enabled()) pending.enqueue_time = std::chrono::steady_clock::now();
-  std::future<ApplyOutcome> future = pending.promise.get_future();
   bool full = false;
   {
     std::lock_guard<std::mutex> lock(drain_mu_);
@@ -212,24 +220,7 @@ ApplyOutcome PlanningService::Apply(AtomicOp op) {
 
 std::future<RebuildOutcome> PlanningService::SubmitRebuild(
     ShardedGepcOptions options) {
-  PendingOp pending;
-  pending.is_rebuild = true;
-  pending.rebuild_options = std::move(options);
-  if (obs::Enabled()) pending.enqueue_time = std::chrono::steady_clock::now();
-  std::future<RebuildOutcome> future = pending.rebuild_promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    ++tickets_issued_;
-  }
-  metrics_.RecordSubmitted();
-  if (!queue_.Push(std::move(pending))) {
-    metrics_.RecordDropped();
-    RebuildOutcome outcome;
-    outcome.error = "service is shut down";
-    pending.rebuild_promise.set_value(std::move(outcome));
-    FinishOne();
-  }
-  return future;
+  return Enqueue(RebuildRequest{std::move(options), {}});
 }
 
 RebuildOutcome PlanningService::Rebuild(ShardedGepcOptions options) {
@@ -237,24 +228,7 @@ RebuildOutcome PlanningService::Rebuild(ShardedGepcOptions options) {
 }
 
 std::future<CheckpointOutcome> PlanningService::SubmitCheckpoint() {
-  PendingOp pending;
-  pending.is_checkpoint = true;
-  if (obs::Enabled()) pending.enqueue_time = std::chrono::steady_clock::now();
-  std::future<CheckpointOutcome> future =
-      pending.checkpoint_promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    ++tickets_issued_;
-  }
-  metrics_.RecordSubmitted();
-  if (!queue_.Push(std::move(pending))) {
-    metrics_.RecordDropped();
-    CheckpointOutcome outcome;
-    outcome.error = "service is shut down";
-    pending.checkpoint_promise.set_value(std::move(outcome));
-    FinishOne();
-  }
-  return future;
+  return Enqueue(CheckpointRequest{});
 }
 
 CheckpointOutcome PlanningService::Checkpoint() {
@@ -262,23 +236,7 @@ CheckpointOutcome PlanningService::Checkpoint() {
 }
 
 std::future<RebalanceOutcome> PlanningService::SubmitRebalance() {
-  PendingOp pending;
-  pending.is_rebalance = true;
-  if (obs::Enabled()) pending.enqueue_time = std::chrono::steady_clock::now();
-  std::future<RebalanceOutcome> future = pending.rebalance_promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    ++tickets_issued_;
-  }
-  metrics_.RecordSubmitted();
-  if (!queue_.Push(std::move(pending))) {
-    metrics_.RecordDropped();
-    RebalanceOutcome outcome;
-    outcome.error = "service is shut down";
-    pending.rebalance_promise.set_value(std::move(outcome));
-    FinishOne();
-  }
-  return future;
+  return Enqueue(RebalanceRequest{});
 }
 
 RebalanceOutcome PlanningService::Rebalance() {
@@ -389,28 +347,39 @@ void PlanningService::WriterLoop() {
                                    pending.enqueue_time)
                                    .count());
     }
-    if (pending.is_checkpoint) {
-      ApplyCheckpoint(&pending);
-    } else if (pending.is_rebuild) {
-      ApplyRebuild(&pending);
-    } else if (pending.is_rebalance) {
-      ApplyRebalance(&pending);
-    } else {
-      ApplyOne(&pending);
-    }
+    // Publish-before-resolve: each handler publishes any snapshot its
+    // request produces before the promise is set, so whoever waits on the
+    // future (or on Drain) sees it.
+    std::visit(
+        Overloaded{
+            [this](OpRequest& r) { r.promise.set_value(ApplyOne(r.op)); },
+            [this](RebuildRequest& r) {
+              r.promise.set_value(ApplyRebuild(r.options));
+            },
+            [this](CheckpointRequest& r) {
+              GEPC_TRACE_SPAN("service.checkpoint", "service");
+              r.promise.set_value(DoCheckpoint());
+            },
+            [this](RebalanceRequest& r) {
+              GEPC_TRACE_SPAN("service.rebalance", "service");
+              r.promise.set_value(DoRebalance());
+            },
+        },
+        pending.request);
+    FinishOne();
   }
   // Queue closed and drained: leave a final snapshot of the end state.
   PublishSnapshot();
 }
 
-void PlanningService::ApplyOne(PendingOp* pending) {
+ApplyOutcome PlanningService::ApplyOne(const AtomicOp& op) {
   GEPC_TRACE_SPAN("service.apply", "service");
   Timer timer;
   ApplyOutcome outcome;
 
   Status journaled = Status::OK();
   if (journal_) {
-    journaled = journal_->Append(pending->op);
+    journaled = journal_->Append(op);
     // Transient append failures (the journal restored its tail, so the
     // file is intact) are retried with capped exponential backoff; anything
     // else — or exhausting the budget — rejects the op without applying it.
@@ -424,7 +393,7 @@ void PlanningService::ApplyOne(PendingOp* pending) {
         std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
       }
       backoff_ms = std::min(backoff_ms * 2, options_.journal_backoff_max_ms);
-      journaled = journal_->Append(pending->op);
+      journaled = journal_->Append(op);
     }
     journal_bytes_.store(journal_->bytes_written(),
                          std::memory_order_relaxed);
@@ -442,9 +411,9 @@ void PlanningService::ApplyOne(PendingOp* pending) {
     // before applying, so replication latency never includes apply time.
     {
       std::lock_guard<std::mutex> lock(commit_hook_mu_);
-      if (commit_hook_) commit_hook_(sequence, pending->op);
+      if (commit_hook_) commit_hook_(sequence, op);
     }
-    auto step = planner_.Apply(pending->op);
+    auto step = planner_.Apply(op);
     const double elapsed_ms = timer.ElapsedMillis();
     outcome.sequence = sequence;
     if (step.ok()) {
@@ -458,9 +427,9 @@ void PlanningService::ApplyOne(PendingOp* pending) {
         // Route against the pre-migration partition (the cut that did the
         // work), fold the op into the live partition, then charge the cost.
         const std::vector<int> routed =
-            tracker_->RouteOp(planner_.instance(), pending->op);
+            tracker_->RouteOp(planner_.instance(), op);
         const Status migrated =
-            tracker_->ApplyMigration(planner_.instance(), pending->op);
+            tracker_->ApplyMigration(planner_.instance(), op);
         if (!migrated.ok()) {
           GEPC_LOG(Warning) << "shard migration failed (partition stale): "
                             << migrated.ToString();
@@ -506,21 +475,18 @@ void PlanningService::ApplyOne(PendingOp* pending) {
       }
     }
   }
-
-  // Publish-before-resolve: whoever waits on the future (or on Drain) sees
-  // a snapshot that already includes this operation.
-  pending->promise.set_value(std::move(outcome));
-  FinishOne();
+  return outcome;
 }
 
-void PlanningService::ApplyRebuild(PendingOp* pending) {
+RebuildOutcome PlanningService::ApplyRebuild(
+    const ShardedGepcOptions& options) {
   GEPC_TRACE_SPAN("service.rebuild", "service");
   Timer timer;
   RebuildOutcome outcome;
   // Deliberately not journaled: the journal is the log of EBSN changes,
   // and replaying it reconstructs a consistent served state without the
   // rebuild (see SubmitRebuild's contract).
-  auto solved = SolveSharded(planner_.instance(), pending->rebuild_options,
+  auto solved = SolveSharded(planner_.instance(), options,
                              &outcome.stats);
   if (!solved.ok()) {
     outcome.error = solved.status().ToString();
@@ -543,20 +509,7 @@ void PlanningService::ApplyRebuild(PendingOp* pending) {
       PublishSnapshot();
     }
   }
-  pending->rebuild_promise.set_value(std::move(outcome));
-  FinishOne();
-}
-
-void PlanningService::ApplyCheckpoint(PendingOp* pending) {
-  GEPC_TRACE_SPAN("service.checkpoint", "service");
-  pending->checkpoint_promise.set_value(DoCheckpoint());
-  FinishOne();
-}
-
-void PlanningService::ApplyRebalance(PendingOp* pending) {
-  GEPC_TRACE_SPAN("service.rebalance", "service");
-  pending->rebalance_promise.set_value(DoRebalance());
-  FinishOne();
+  return outcome;
 }
 
 RebalanceOutcome PlanningService::DoRebalance() {

@@ -12,6 +12,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <variant>
 
 #include "common/result.h"
 #include "core/instance.h"
@@ -266,23 +267,29 @@ class PlanningService {
   bool accepting() const { return accepting_.load(std::memory_order_acquire); }
 
  private:
-  struct PendingOp {
+  /// One queued request per public Submit*: its inputs and the promise its
+  /// caller waits on.
+  struct OpRequest {
     AtomicOp op;
     std::promise<ApplyOutcome> promise;
+  };
+  struct RebuildRequest {
+    ShardedGepcOptions options;
+    std::promise<RebuildOutcome> promise;
+  };
+  struct CheckpointRequest {
+    std::promise<CheckpointOutcome> promise;
+  };
+  struct RebalanceRequest {
+    std::promise<RebalanceOutcome> promise;
+  };
+  struct PendingOp {
+    std::variant<OpRequest, RebuildRequest, CheckpointRequest,
+                 RebalanceRequest>
+        request;
     /// Set at enqueue when observability is on; feeds the queue-wait
     /// histogram when the writer dequeues. Epoch (zero) when off.
     std::chrono::steady_clock::time_point enqueue_time{};
-    /// Full-rebuild request: `op`/`promise` are ignored, the rebuild
-    /// fields below are used instead.
-    bool is_rebuild = false;
-    ShardedGepcOptions rebuild_options;
-    std::promise<RebuildOutcome> rebuild_promise;
-    /// Checkpoint request: only `checkpoint_promise` is used.
-    bool is_checkpoint = false;
-    std::promise<CheckpointOutcome> checkpoint_promise;
-    /// Rebalance request: only `rebalance_promise` is used.
-    bool is_rebalance = false;
-    std::promise<RebalanceOutcome> rebalance_promise;
   };
 
   /// How the service came to be (filled by Recover, defaults for Create);
@@ -299,11 +306,16 @@ class PlanningService {
                   std::optional<Journal> journal, uint64_t base_sequence,
                   RecoveryInfo recovery);
 
+  /// The blocking enqueue behind Submit, SubmitRebuild, SubmitCheckpoint
+  /// and SubmitRebalance: takes a drain ticket and queues the request, or
+  /// resolves it with a "service is shut down" outcome once the queue is
+  /// closed.
+  template <typename Request>
+  auto Enqueue(Request request) -> decltype(request.promise.get_future());
+
   void WriterLoop();
-  void ApplyOne(PendingOp* pending);
-  void ApplyRebuild(PendingOp* pending);
-  void ApplyCheckpoint(PendingOp* pending);
-  void ApplyRebalance(PendingOp* pending);
+  ApplyOutcome ApplyOne(const AtomicOp& op);
+  RebuildOutcome ApplyRebuild(const ShardedGepcOptions& options);
   /// Writes + publishes the checkpoint, prunes, compacts the journal.
   /// Writer thread only. Returns the outcome (never throws the service).
   CheckpointOutcome DoCheckpoint();

@@ -15,14 +15,12 @@
 
 #include "data/generator.h"
 #include "data/io.h"
+#include "tests/temp_path.h"
 
 namespace gepc {
 namespace {
 
-std::string Tmp(const std::string& name) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  return ::testing::TempDir() + "/" + info->name() + "_" + name;
-}
+using testing_support::TestTempPath;
 
 /// Extracts the integer after `"key":`; -1 if absent.
 int64_t FindIntField(const std::string& json, const std::string& key) {
@@ -50,7 +48,7 @@ class BotsSmokeTest : public ::testing::Test {
     config.seed = 23;
     auto instance = GenerateInstance(config);
     ASSERT_TRUE(instance.ok()) << instance.status();
-    instance_path_ = Tmp("bots_smoke.gepc");
+    instance_path_ = TestTempPath("bots_smoke.gepc");
     ASSERT_TRUE(SaveInstanceToFile(*instance, instance_path_).ok());
   }
 
@@ -58,8 +56,8 @@ class BotsSmokeTest : public ::testing::Test {
 };
 
 TEST_F(BotsSmokeTest, BotsDriveServeAndAuditCommittedOps) {
-  const std::string ready_path = Tmp("ready.jsonl");
-  const std::string report_path = Tmp("report.json");
+  const std::string ready_path = TestTempPath("ready.jsonl");
+  const std::string report_path = TestTempPath("report.json");
 
   // Serve in the background on an ephemeral port; its ready line (the only
   // stdout before shutdown) carries the bound port.
@@ -110,8 +108,8 @@ TEST_F(BotsSmokeTest, BotsDriveServeAndAuditCommittedOps) {
 }
 
 TEST_F(BotsSmokeTest, PoissonOpenLoopAlsoCompletes) {
-  const std::string ready_path = Tmp("ready.jsonl");
-  const std::string report_path = Tmp("report.json");
+  const std::string ready_path = TestTempPath("ready.jsonl");
+  const std::string report_path = TestTempPath("report.json");
   const std::string serve_cmd = std::string(GEPC_SERVE_PATH) + " --in " +
                                 instance_path_ +
                                 " --listen 127.0.0.1:0 --net-queue 64 > " +
@@ -136,6 +134,17 @@ TEST_F(BotsSmokeTest, PoissonOpenLoopAlsoCompletes) {
   const std::string report = ReadAll(report_path);
   EXPECT_EQ(FindIntField(report, "committed_op_loss"), 0) << report;
   EXPECT_GT(FindIntField(report, "ops_total"), 0) << report;
+}
+
+TEST(BotsFlagsTest, BadFlagsExit64) {
+  // Rejected before any connection is attempted; nothing listens on 1.
+  for (const char* flags :
+       {"", "--port 80x", "--port 1 --clients 5x", "--port 1 --frobnicate",
+        "--port 1 --arrival poisson --rate 0", "--port 1 --mix op=0"}) {
+    const std::string command = std::string(GEPC_BOTS_PATH) + " " + flags +
+                                " > /dev/null 2>&1";
+    EXPECT_EQ(WEXITSTATUS(std::system(command.c_str())), 64) << flags;
+  }
 }
 
 }  // namespace

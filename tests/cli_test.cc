@@ -13,19 +13,14 @@
 
 #include "ckpt/checkpoint.h"
 #include "data/io.h"
+#include "tests/temp_path.h"
 
 namespace gepc {
 namespace {
 
-std::string Cli() { return GEPC_CLI_PATH; }
+using testing_support::TestTempPath;
 
-// Per-test-case temp path: ctest runs every discovered case as its own
-// process in parallel, so fixed file names under the shared TempDir would
-// collide across cases.
-std::string Tmp(const std::string& name) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  return ::testing::TempDir() + "/" + info->name() + "_" + name;
-}
+std::string Cli() { return GEPC_CLI_PATH; }
 
 int RunCommand(const std::string& command) {
   const int status = std::system((command + " > /dev/null 2>&1").c_str());
@@ -35,8 +30,8 @@ int RunCommand(const std::string& command) {
 class CliTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    instance_path_ = Tmp("cli_test.gepc");
-    plan_path_ = Tmp("cli_test.gpln");
+    instance_path_ = TestTempPath("cli_test.gepc");
+    plan_path_ = TestTempPath("cli_test.gpln");
     ASSERT_EQ(RunCommand(Cli() + " generate --users 40 --events 10 --seed 5" +
                          " --xi 2 --eta 6 --out " + instance_path_),
               0);
@@ -93,7 +88,7 @@ TEST_F(CliTest, ApplyRunsOpsAndWritesPlan) {
   ASSERT_EQ(RunCommand(Cli() + " solve --in " + instance_path_ +
                        " --plan-out " + plan_path_),
             0);
-  const std::string out_path = Tmp("cli_test_after.gpln");
+  const std::string out_path = TestTempPath("cli_test_after.gpln");
   EXPECT_EQ(RunCommand(Cli() + " apply --in " + instance_path_ + " --plan " +
                        plan_path_ + " --op eta:0:1 --op xi:1:3 --reorder" +
                        " --plan-out " + out_path),
@@ -128,7 +123,7 @@ TEST_F(CliTest, UnknownFlagRejectedWithUsage) {
                               " --frobnicate 3";
   EXPECT_EQ(RunCommand(command), 64);
   // The error message names the bad flag and the usage block follows.
-  const std::string capture = Tmp("cli_test_stderr.txt");
+  const std::string capture = TestTempPath("cli_test_stderr.txt");
   ASSERT_EQ(WEXITSTATUS(std::system(
                 (command + " > /dev/null 2> " + capture).c_str())),
             64);
@@ -182,8 +177,8 @@ TEST_F(CliTest, ShardedSolveWritesValidPlan) {
 }
 
 TEST_F(CliTest, ShardedSolveIndependentOfThreadCount) {
-  const std::string one = Tmp("cli_test_t1.gpln");
-  const std::string eight = Tmp("cli_test_t8.gpln");
+  const std::string one = TestTempPath("cli_test_t1.gpln");
+  const std::string eight = TestTempPath("cli_test_t8.gpln");
   ASSERT_EQ(RunCommand(Cli() + " solve --in " + instance_path_ +
                        " --shards 4 --threads 1 --plan-out " + one),
             0);
@@ -213,10 +208,20 @@ TEST_F(CliTest, InvalidThreadsOrShardsRejectedWithUsage) {
   EXPECT_EQ(RunCommand(Cli() + " stats --in " + instance_path_ +
                        " --threads 2"),
             64);
+  // Trailing garbage is rejected in every command's integer flags.
+  EXPECT_EQ(RunCommand(Cli() + " generate --users 12x --events 5 --out " +
+                       TestTempPath("garbage.gepc")),
+            64);
+  ASSERT_EQ(RunCommand(Cli() + " solve --in " + instance_path_ +
+                       " --plan-out " + plan_path_),
+            0);
+  EXPECT_EQ(RunCommand(Cli() + " itinerary --in " + instance_path_ +
+                       " --plan " + plan_path_ + " --user abc"),
+            64);
 }
 
 TEST_F(CliTest, SolveMetricsPrintsExposition) {
-  const std::string capture = Tmp("cli_test_metrics_stdout.txt");
+  const std::string capture = TestTempPath("cli_test_metrics_stdout.txt");
   ASSERT_EQ(WEXITSTATUS(std::system((Cli() + " solve --in " + instance_path_ +
                                      " --metrics > " + capture + " 2>&1")
                                         .c_str())),
@@ -233,7 +238,7 @@ TEST_F(CliTest, SolveMetricsPrintsExposition) {
 }
 
 TEST_F(CliTest, SolveMetricsFileForm) {
-  const std::string metrics_path = Tmp("cli_test_metrics.prom");
+  const std::string metrics_path = TestTempPath("cli_test_metrics.prom");
   std::remove(metrics_path.c_str());
   ASSERT_EQ(RunCommand(Cli() + " solve --in " + instance_path_ +
                        " --metrics=" + metrics_path),
@@ -246,7 +251,7 @@ TEST_F(CliTest, SolveMetricsFileForm) {
 }
 
 TEST_F(CliTest, SolveTraceWritesChromeTraceJson) {
-  const std::string trace_path = Tmp("cli_test_trace.json");
+  const std::string trace_path = TestTempPath("cli_test_trace.json");
   std::remove(trace_path.c_str());
   ASSERT_EQ(RunCommand(Cli() + " solve --in " + instance_path_ + " --trace " +
                        trace_path),
@@ -264,7 +269,7 @@ class CliCkptTest : public CliTest {
   // A real checkpoint directory with two valid GCKP1 files (versions 1, 2).
   void SetUp() override {
     CliTest::SetUp();
-    ckpt_dir_ = Tmp("ckpt");
+    ckpt_dir_ = TestTempPath("ckpt");
     std::error_code ec;
     std::filesystem::remove_all(ckpt_dir_, ec);
     std::filesystem::create_directories(ckpt_dir_, ec);
@@ -288,7 +293,7 @@ TEST_F(CliCkptTest, InspectSingleValidCheckpoint) {
 }
 
 TEST_F(CliCkptTest, InspectDirectoryListsNewestFirst) {
-  const std::string out_path = Tmp("ckpt_inspect.txt");
+  const std::string out_path = TestTempPath("ckpt_inspect.txt");
   ASSERT_EQ(WEXITSTATUS(std::system((Cli() + " ckpt-inspect --dir " +
                                      ckpt_dir_ + " > " + out_path + " 2>&1")
                                         .c_str())),
@@ -346,6 +351,7 @@ TEST_F(CliTest, ScheduleFlagsValidatedStrictly) {
   EXPECT_EQ(RunCommand(Cli() + " schedule --lambda -0.5"), 64);
   EXPECT_EQ(RunCommand(Cli() + " schedule --threads 4x"), 64);
   EXPECT_EQ(RunCommand(Cli() + " schedule --exhaustive=1"), 64);
+  EXPECT_EQ(RunCommand(Cli() + " schedule --users 20 --seed 7x"), 64);
 }
 
 TEST_F(CliTest, SimScenarioPresetsRun) {

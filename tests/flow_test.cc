@@ -2,8 +2,37 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace gepc {
 namespace {
+
+constexpr double kNoAssignment = std::numeric_limits<double>::infinity();
+
+/// Exact oracle: the cheapest way to give every row its own allowed column,
+/// by enumerating every column permutation (rows <= cols <= 6).
+/// kNoAssignment when no complete assignment exists.
+double BruteForceAssignment(int rows, int cols,
+                            const std::vector<double>& cost,
+                            const std::vector<bool>& allowed) {
+  std::vector<int> perm(static_cast<size_t>(cols));
+  std::iota(perm.begin(), perm.end(), 0);
+  double best = kNoAssignment;
+  do {
+    double total = 0.0;
+    for (int r = 0; r < rows && total < kNoAssignment; ++r) {
+      const size_t cell = static_cast<size_t>(r * cols + perm[r]);
+      total = allowed[cell] ? total + cost[cell] : kNoAssignment;
+    }
+    best = std::min(best, total);
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  return best;
+}
 
 TEST(MinCostFlowTest, SingleEdge) {
   MinCostFlow flow(2);
@@ -103,7 +132,7 @@ TEST(MinCostFlowTest, BadEndpointsRejected) {
 TEST(MinCostFlowTest, AssignmentProblemSolvedExactly) {
   // 3x3 assignment, costs: worker w to task t. Known optimum = 5 (1+3+1).
   const double costs[3][3] = {{4, 1, 3}, {2, 0, 5}, {3, 2, 1}};
-  // Hungarian optimum: w0->t1 (1), w1->t0 (2), w2->t2 (1) -> total 4.
+  // Optimum: w0->t1 (1), w1->t0 (2), w2->t2 (1) -> total 4.
   MinCostFlow flow(8);  // 0 source, 1-3 workers, 4-6 tasks, 7 sink
   for (int w = 0; w < 3; ++w) flow.AddEdge(0, 1 + w, 1, 0.0);
   std::vector<int> ids;
@@ -144,6 +173,63 @@ TEST(MinCostFlowTest, ZeroCapacityEdgeCarriesNothing) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->flow, 0);
   EXPECT_EQ(flow.FlowOn(e), 0);
+}
+
+TEST(MinCostFlowTest, AssignmentMatchesPermutationEnumeration) {
+  Rng rng(2027);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int rows = 1 + static_cast<int>(rng.UniformUint64(6));
+    const int cols = rows + static_cast<int>(rng.UniformUint64(7 - rows));
+    // Every third trial forbids about a third of the pairs, so some
+    // matrices admit no complete assignment at all.
+    const double forbid_p = trial % 3 == 0 ? 0.35 : 0.0;
+    const size_t cells = static_cast<size_t>(rows * cols);
+    std::vector<double> cost(cells);
+    std::vector<bool> allowed(cells);
+    for (size_t cell = 0; cell < cells; ++cell) {
+      cost[cell] = rng.UniformDouble(-5.0, 10.0);
+      allowed[cell] = !rng.Bernoulli(forbid_p);
+    }
+    const double expected = BruteForceAssignment(rows, cols, cost, allowed);
+
+    // source 0, rows 1..rows, columns rows+1..rows+cols, sink rows+cols+1.
+    MinCostFlow flow(rows + cols + 2);
+    const int source = 0;
+    const int sink = rows + cols + 1;
+    for (int r = 0; r < rows; ++r) flow.AddEdge(source, 1 + r, 1, 0.0);
+    std::vector<int> edge_of(cells, -1);
+    for (int r = 0; r < rows; ++r) {
+      for (int c = 0; c < cols; ++c) {
+        const size_t cell = static_cast<size_t>(r * cols + c);
+        if (allowed[cell]) {
+          edge_of[cell] = flow.AddEdge(1 + r, 1 + rows + c, 1, cost[cell]);
+        }
+      }
+    }
+    for (int c = 0; c < cols; ++c) flow.AddEdge(1 + rows + c, sink, 1, 0.0);
+    auto result = flow.Solve(source, sink);
+    ASSERT_TRUE(result.ok()) << "trial " << trial;
+    if (expected == kNoAssignment) {
+      EXPECT_LT(result->flow, rows) << "trial " << trial;
+      continue;
+    }
+    ASSERT_EQ(result->flow, rows) << "trial " << trial;
+    EXPECT_NEAR(result->cost, expected, 1e-9) << "trial " << trial;
+
+    // The flow is a partial permutation whose edge costs sum to its cost.
+    std::vector<int> row_uses(static_cast<size_t>(rows), 0);
+    std::vector<int> col_uses(static_cast<size_t>(cols), 0);
+    double used_cost = 0.0;
+    for (size_t cell = 0; cell < cells; ++cell) {
+      if (edge_of[cell] < 0 || flow.FlowOn(edge_of[cell]) == 0) continue;
+      ++row_uses[cell / static_cast<size_t>(cols)];
+      ++col_uses[cell % static_cast<size_t>(cols)];
+      used_cost += cost[cell];
+    }
+    for (int uses : row_uses) EXPECT_EQ(uses, 1) << "trial " << trial;
+    for (int uses : col_uses) EXPECT_LE(uses, 1) << "trial " << trial;
+    EXPECT_NEAR(used_cost, result->cost, 1e-9) << "trial " << trial;
+  }
 }
 
 }  // namespace

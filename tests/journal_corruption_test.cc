@@ -17,16 +17,14 @@
 #include "common/rng.h"
 #include "iep/trace.h"
 #include "tests/paper_example.h"
+#include "tests/temp_path.h"
 
 namespace gepc {
 namespace {
 
 using testing_support::MakePaperInstance;
 using testing_support::MakePaperPlan;
-
-std::string Tmp(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing_support::TestTempPath;
 
 void WriteBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -71,8 +69,8 @@ std::string BuildSampleJournal(const std::string& path) {
 class JournalCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    journal_path_ = Tmp("journal_corruption.gops");
-    crash_path_ = Tmp("journal_corruption.crash.gops");
+    journal_path_ = TestTempPath("journal_corruption.gops");
+    crash_path_ = TestTempPath("journal_corruption.crash.gops");
     full_ = BuildSampleJournal(journal_path_);
     ASSERT_GT(full_.size(), 40u);
   }
@@ -182,8 +180,9 @@ TEST_F(JournalCorruptionTest, WrongHeaderIsError) {
 }
 
 TEST_F(JournalCorruptionTest, MissingFileIsNotFound) {
-  auto replay = ReplayJournal(MakePaperInstance(), MakePaperPlan(),
-                              Tmp("journal_corruption.nonexistent.gops"));
+  auto replay =
+      ReplayJournal(MakePaperInstance(), MakePaperPlan(),
+                    TestTempPath("journal_corruption.nonexistent.gops"));
   ASSERT_FALSE(replay.ok());
   EXPECT_EQ(replay.status().code(), StatusCode::kNotFound);
 }

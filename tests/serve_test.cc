@@ -14,19 +14,14 @@
 #include "data/generator.h"
 #include "data/io.h"
 #include "service/journal.h"
+#include "tests/temp_path.h"
 
 namespace gepc {
 namespace {
 
-std::string Serve() { return GEPC_SERVE_PATH; }
+using testing_support::TestTempPath;
 
-// Per-test-case temp path: ctest runs every discovered case as its own
-// process in parallel, so fixed file names under the shared TempDir would
-// collide across cases.
-std::string Tmp(const std::string& name) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  return ::testing::TempDir() + "/" + info->name() + "_" + name;
-}
+std::string Serve() { return GEPC_SERVE_PATH; }
 
 void WriteLines(const std::string& path,
                 const std::vector<std::string>& lines) {
@@ -41,8 +36,8 @@ struct RunResult {
 
 RunResult RunSession(const std::string& flags,
                      const std::vector<std::string>& requests) {
-  const std::string requests_path = Tmp("serve_requests.jsonl");
-  const std::string output_path = Tmp("serve_responses.jsonl");
+  const std::string requests_path = TestTempPath("serve_requests.jsonl");
+  const std::string output_path = TestTempPath("serve_responses.jsonl");
   WriteLines(requests_path, requests);
   const std::string command = Serve() + " " + flags + " < " + requests_path +
                               " > " + output_path + " 2> /dev/null";
@@ -65,7 +60,7 @@ class ServeTest : public ::testing::Test {
     config.seed = 11;
     auto instance = GenerateInstance(config);
     ASSERT_TRUE(instance.ok()) << instance.status();
-    instance_path_ = Tmp("serve_test.gepc");
+    instance_path_ = TestTempPath("serve_test.gepc");
     ASSERT_TRUE(SaveInstanceToFile(*instance, instance_path_).ok());
   }
 
@@ -118,7 +113,7 @@ TEST_F(ServeTest, ErrorsKeepTheSessionAlive) {
 }
 
 TEST_F(ServeTest, JournalSurvivesRestartViaRecover) {
-  const std::string journal_path = Tmp("serve_test_journal.gops");
+  const std::string journal_path = TestTempPath("serve_test_journal.gops");
   std::remove(journal_path.c_str());
 
   const RunResult first = RunSession(
@@ -149,7 +144,7 @@ TEST_F(ServeTest, JournalSurvivesRestartViaRecover) {
 }
 
 TEST_F(ServeTest, SavePlanWritesLoadablePlan) {
-  const std::string plan_path = Tmp("serve_test_saved.gpln");
+  const std::string plan_path = TestTempPath("serve_test_saved.gpln");
   std::remove(plan_path.c_str());
   const RunResult result = RunSession(
       "--in " + instance_path_,
@@ -197,8 +192,8 @@ TEST_F(ServeTest, RebuildSwapsInAFreshPlan) {
 }
 
 TEST_F(ServeTest, RebuildIsDeterministicAcrossSessions) {
-  const std::string a = Tmp("serve_rebuild_a.gpln");
-  const std::string b = Tmp("serve_rebuild_b.gpln");
+  const std::string a = TestTempPath("serve_rebuild_a.gpln");
+  const std::string b = TestTempPath("serve_rebuild_b.gpln");
   for (const std::string* path : {&a, &b}) {
     std::remove(path->c_str());
     const RunResult result = RunSession(
@@ -251,7 +246,7 @@ TEST_F(ServeTest, StatsIncludesHistogramSummaries) {
 }
 
 TEST_F(ServeTest, MetricsFileWrittenAtShutdown) {
-  const std::string metrics_path = Tmp("serve_test_metrics.prom");
+  const std::string metrics_path = TestTempPath("serve_test_metrics.prom");
   std::remove(metrics_path.c_str());
   const RunResult result = RunSession(
       "--in " + instance_path_ + " --metrics " + metrics_path,
@@ -269,7 +264,7 @@ TEST_F(ServeTest, MetricsFileWrittenAtShutdown) {
 }
 
 TEST_F(ServeTest, TraceFileCapturesServiceSpans) {
-  const std::string trace_path = Tmp("serve_test_trace.json");
+  const std::string trace_path = TestTempPath("serve_test_trace.json");
   std::remove(trace_path.c_str());
   const RunResult result = RunSession(
       "--in " + instance_path_ + " --trace " + trace_path,
@@ -301,8 +296,8 @@ TEST_F(ServeTest, ObservabilityFlagsRequireValues) {
 }
 
 TEST_F(ServeTest, CheckpointCommandPublishesAndShowsInStats) {
-  const std::string journal_path = Tmp("journal.gops");
-  const std::string ckpt_dir = Tmp("ckpt");
+  const std::string journal_path = TestTempPath("journal.gops");
+  const std::string ckpt_dir = TestTempPath("ckpt");
   std::remove(journal_path.c_str());
   const RunResult result = RunSession(
       "--in " + instance_path_ + " --journal " + journal_path +
@@ -327,8 +322,8 @@ TEST_F(ServeTest, CheckpointCommandPublishesAndShowsInStats) {
 }
 
 TEST_F(ServeTest, AutoCheckpointEveryNAndRecoverFromCheckpoint) {
-  const std::string journal_path = Tmp("journal.gops");
-  const std::string ckpt_dir = Tmp("ckpt");
+  const std::string journal_path = TestTempPath("journal.gops");
+  const std::string ckpt_dir = TestTempPath("ckpt");
   std::remove(journal_path.c_str());
   const std::string flags = "--in " + instance_path_ + " --journal " +
                             journal_path + " --checkpoint-dir " + ckpt_dir +
@@ -388,13 +383,13 @@ TEST_F(ServeTest, CheckpointFlagValidation) {
             64);
   EXPECT_EQ(WEXITSTATUS(std::system(
                 (Serve() + " --in " + instance_path_ +
-                 " --checkpoint-dir " + Tmp("ckpt") +
+                 " --checkpoint-dir " + TestTempPath("ckpt") +
                  " --checkpoint-every nope < /dev/null > /dev/null 2>&1")
                     .c_str())),
             64);
   EXPECT_EQ(WEXITSTATUS(std::system(
                 (Serve() + " --in " + instance_path_ +
-                 " --checkpoint-dir " + Tmp("ckpt") +
+                 " --checkpoint-dir " + TestTempPath("ckpt") +
                  " --checkpoint-retain 0 < /dev/null > /dev/null 2>&1")
                     .c_str())),
             64);
@@ -422,6 +417,17 @@ TEST_F(ServeTest, BadFlagsFail) {
   EXPECT_EQ(WEXITSTATUS(std::system(
                 (Serve() + " --in " + instance_path_ +
                  " --shards nope < /dev/null > /dev/null 2>&1")
+                    .c_str())),
+            64);
+  // Service knobs reject non-numbers and trailing garbage the same way.
+  EXPECT_EQ(WEXITSTATUS(std::system(
+                (Serve() + " --in " + instance_path_ +
+                 " --queue abc < /dev/null > /dev/null 2>&1")
+                    .c_str())),
+            64);
+  EXPECT_EQ(WEXITSTATUS(std::system(
+                (Serve() + " --in " + instance_path_ +
+                 " --snapshot-every 0x < /dev/null > /dev/null 2>&1")
                     .c_str())),
             64);
 }

@@ -66,6 +66,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flags.h"
 #include "net/frame.h"
 #include "obs/metrics.h"
 #include "service/jsonl.h"
@@ -118,7 +119,8 @@ int Usage() {
   return 64;
 }
 
-bool ParseMix(const std::string& spec, Options* options, std::string* error) {
+/// Parses --mix "kind=W,...": listed kinds get their weight, the rest 0.
+Status ParseMix(const std::string& spec, Options* options) {
   options->mix_op = options->mix_read = options->mix_stats =
       options->mix_rebuild = 0.0;
   std::string rest = spec;
@@ -127,143 +129,71 @@ bool ParseMix(const std::string& spec, Options* options, std::string* error) {
     const std::string item = rest.substr(0, comma);
     rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
     const size_t eq = item.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      *error = "--mix items must be kind=weight";
-      return false;
-    }
     const std::string kind = item.substr(0, eq);
-    char* end = nullptr;
-    const double weight = std::strtod(item.c_str() + eq + 1, &end);
-    if (end == nullptr || *end != '\0' || weight < 0.0) {
-      *error = "--mix weight for '" + kind + "' must be a number >= 0";
-      return false;
+    double* weight = kind == "op"        ? &options->mix_op
+                     : kind == "read"    ? &options->mix_read
+                     : kind == "stats"   ? &options->mix_stats
+                     : kind == "rebuild" ? &options->mix_rebuild
+                                         : nullptr;
+    if (eq == std::string::npos || weight == nullptr) {
+      return Status::InvalidArgument(
+          "items must be kind=weight with kind op, read, stats or rebuild");
     }
-    if (kind == "op") {
-      options->mix_op = weight;
-    } else if (kind == "read") {
-      options->mix_read = weight;
-    } else if (kind == "stats") {
-      options->mix_stats = weight;
-    } else if (kind == "rebuild") {
-      options->mix_rebuild = weight;
-    } else {
-      *error = "--mix kind must be op, read, stats or rebuild";
-      return false;
+    const Status parsed =
+        Flag::Double(kind, weight, 0.0).set(item.substr(eq + 1));
+    if (!parsed.ok()) {
+      return Status::InvalidArgument("weight for '" + kind +
+                                     "': " + parsed.message());
     }
   }
   if (options->mix_op + options->mix_read + options->mix_stats +
           options->mix_rebuild <=
       0.0) {
-    *error = "--mix weights must not all be zero";
-    return false;
+    return Status::InvalidArgument("weights must not all be zero");
   }
-  return true;
+  return Status::OK();
 }
 
-bool ParseArgs(int argc, char** argv, Options* options, std::string* error) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](std::string* out) {
-      if (i + 1 >= argc) {
-        *error = arg + " needs a value";
-        return false;
-      }
-      *out = argv[++i];
-      return true;
-    };
-    std::string text;
-    if (arg == "--host") {
-      if (!value(&options->host)) return false;
-    } else if (arg == "--port") {
-      if (!value(&text)) return false;
-      options->port = std::atoi(text.c_str());
-    } else if (arg == "--clients") {
-      if (!value(&text)) return false;
-      options->clients = std::atoi(text.c_str());
-    } else if (arg == "--duration-s") {
-      if (!value(&text)) return false;
-      options->duration_s = std::strtod(text.c_str(), nullptr);
-    } else if (arg == "--threads") {
-      if (!value(&text)) return false;
-      options->threads = std::atoi(text.c_str());
-    } else if (arg == "--arrival") {
-      if (!value(&options->arrival)) return false;
-    } else if (arg == "--rate") {
-      if (!value(&text)) return false;
-      options->rate = std::strtod(text.c_str(), nullptr);
-    } else if (arg == "--think-ms") {
-      if (!value(&text)) return false;
-      options->think_ms = std::atoi(text.c_str());
-    } else if (arg == "--mix") {
-      if (!value(&text)) return false;
-      if (!ParseMix(text, options, error)) return false;
-    } else if (arg == "--seed") {
-      if (!value(&text)) return false;
-      options->seed = static_cast<uint64_t>(std::strtoull(text.c_str(),
-                                                          nullptr, 10));
-    } else if (arg == "--compress") {
-      options->compress = true;
-    } else if (arg == "--json") {
-      if (!value(&options->json_path)) return false;
-    } else if (arg == "--shutdown") {
-      options->send_shutdown = true;
-    } else if (arg == "--replica") {
-      if (!value(&text)) return false;
-      const size_t colon = text.rfind(':');
-      if (colon == std::string::npos || colon == 0) {
-        *error = "--replica must be HOST:PORT";
-        return false;
-      }
-      options->replica_host = text.substr(0, colon);
-      options->replica_port = std::atoi(text.c_str() + colon + 1);
-      if (options->replica_port < 1 || options->replica_port > 65535) {
-        *error = "--replica port must be in 1..65535";
-        return false;
-      }
-    } else if (arg == "--replica-clients") {
-      if (!value(&text)) return false;
-      options->replica_clients = std::atoi(text.c_str());
-      if (options->replica_clients < 1 || options->replica_clients > 100000) {
-        *error = "--replica-clients must be in 1..100000";
-        return false;
-      }
-    } else if (arg == "--audit-port") {
-      if (!value(&text)) return false;
-      options->audit_port = std::atoi(text.c_str());
-      if (options->audit_port < 1 || options->audit_port > 65535) {
-        *error = "--audit-port must be in 1..65535";
-        return false;
-      }
-    } else {
-      *error = "unknown flag '" + arg + "'";
-      return false;
-    }
-  }
-  if (options->port < 1 || options->port > 65535) {
-    *error = "--port (1..65535) is required";
-    return false;
-  }
-  if (options->clients < 1 || options->clients > 100000) {
-    *error = "--clients must be in 1..100000";
-    return false;
-  }
-  if (options->duration_s <= 0.0 || options->duration_s > 3600.0) {
-    *error = "--duration-s must be in (0, 3600]";
-    return false;
-  }
-  if (options->arrival != "closed" && options->arrival != "poisson") {
-    *error = "--arrival must be 'closed' or 'poisson'";
-    return false;
+constexpr int kMaxClients = 100000;
+
+Status ParseArgs(int argc, char** argv, Options* options) {
+  FlagTable flags = {
+      Flag::String("host", &options->host),
+      Flag::Int("port", &options->port, 1, 65535),
+      Flag::Int("clients", &options->clients, 1, kMaxClients),
+      Flag::Double("duration-s", &options->duration_s, 0.0, 3600.0,
+                   /*min_exclusive=*/true),
+      Flag::Int("threads", &options->threads, 0, kMaxClients),
+      Flag::Enum("arrival", &options->arrival, {"closed", "poisson"}),
+      Flag::Double("rate", &options->rate, 0.0),
+      Flag::Int("think-ms", &options->think_ms, 0, 3'600'000),
+      Flag::Custom("mix",
+                   [options](const std::string& spec) {
+                     return ParseMix(spec, options);
+                   }),
+      Flag::Uint64("seed", &options->seed),
+      Flag::Bool("compress", &options->compress),
+      Flag::String("json", &options->json_path),
+      Flag::Bool("shutdown", &options->send_shutdown),
+      Flag::Custom("replica",
+                   [options](const std::string& spec) {
+                     if (spec.find(':') == std::string::npos) {
+                       return Status::InvalidArgument("expected HOST:PORT");
+                     }
+                     return ParseHostPort(spec, 1, &options->replica_host,
+                                          &options->replica_port);
+                   }),
+      Flag::Int("replica-clients", &options->replica_clients, 1, kMaxClients),
+      Flag::Int("audit-port", &options->audit_port, 1, 65535),
+  };
+  GEPC_RETURN_IF_ERROR(flags.Parse(argc, argv));
+  if (!flags.IsSet("port")) {
+    return Status::InvalidArgument("--port (1..65535) is required");
   }
   if (options->arrival == "poisson" && options->rate <= 0.0) {
-    *error = "--rate must be > 0 in poisson mode";
-    return false;
+    return Status::InvalidArgument("--rate must be > 0 in poisson mode");
   }
-  if (options->think_ms < 0) {
-    *error = "--think-ms must be >= 0";
-    return false;
-  }
-  return true;
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -966,9 +896,9 @@ std::string BuildReport(const RunState& run, const RunState* replica,
 
 int Main(int argc, char** argv) {
   Options options;
-  std::string parse_error;
-  if (!ParseArgs(argc, argv, &options, &parse_error)) {
-    std::fprintf(stderr, "error: %s\n", parse_error.c_str());
+  const Status parsed = ParseArgs(argc, argv, &options);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "error: %s\n", parsed.message().c_str());
     return Usage();
   }
   obs::SetEnabled(true);

@@ -28,14 +28,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
-#include <set>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "ckpt/checkpoint.h"
+#include "common/flags.h"
 #include "core/feasibility.h"
 #include "core/itinerary.h"
 #include "core/plan_diff.h"
@@ -54,6 +52,7 @@
 #include "iep/op_spec.h"
 #include "iep/planner.h"
 #include "iep/trace.h"
+#include "service/dispatch.h"
 #include "service/journal.h"
 
 namespace gepc {
@@ -88,166 +87,55 @@ constexpr char kUsage[] =
     "\n"
     "(see docs/cli.md; the online service front end is gepc_serve)\n";
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> options;
-  std::vector<std::string> ops;
-  std::set<std::string> flags;
-  bool reorder = false;
-  bool no_topup = false;
-};
-
-/// The flags each command accepts; anything else is rejected loudly so a
-/// typo ("--uesrs 100") cannot silently fall back to a default.
-struct CommandSpec {
-  std::set<std::string> value_options;
-  std::set<std::string> bool_flags;
-  /// Flags whose value is optional: `--metrics` (stdout) or
-  /// `--metrics=FILE`. The separate-token form `--metrics FILE` is NOT
-  /// accepted for these — the next token could be a stray positional.
-  std::set<std::string> optional_value_options;
-};
-
-const std::map<std::string, CommandSpec>& Commands() {
-  static const std::map<std::string, CommandSpec> kCommands = {
-      {"generate",
-       {{"users", "events", "seed", "xi", "eta", "conflict", "fee", "out"},
-        {},
-        {}}},
-      {"stats", {{"in"}, {}, {}}},
-      {"solve",
-       {{"in", "algorithm", "plan-out", "threads", "shards", "faults",
-         "trace"},
-        {"no-topup"},
-        {"metrics"}}},
-      {"validate", {{"in", "plan"}, {}, {}}},
-      {"itinerary", {{"in", "plan", "user"}, {}, {}}},
-      {"apply",
-       {{"in", "plan", "op", "ops-file", "plan-out", "shards",
-         "rebalance-every", "rebalance-skew"},
-        {"reorder"},
-        {}}},
-      {"schedule",
-       {{"users", "drafts", "candidates", "seed", "lambda", "degree",
-         "threads", "restarts", "passes", "faults"},
-        {"exhaustive", "no-memoize"},
-        {}}},
-      {"sim",
-       {{"scenario", "days", "seed", "users", "events", "faults"},
-        {"resolve"},
-        {}}},
-      {"ckpt-inspect", {{"ckpt", "dir"}, {}, {}}},
-      {"journal-inspect", {{"journal"}, {}, {}}},
-  };
-  return kCommands;
-}
-
-/// Strict parse: unknown commands, unknown flags, missing values and stray
-/// positional arguments all fail with a message in `error`.
-bool ParseArgs(int argc, char** argv, Args* args, std::string* error) {
-  if (argc < 2) {
-    *error = "missing command";
-    return false;
-  }
-  args->command = argv[1];
-  const auto spec_it = Commands().find(args->command);
-  if (spec_it == Commands().end()) {
-    *error = "unknown command '" + args->command + "'";
-    return false;
-  }
-  const CommandSpec& spec = spec_it->second;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      *error = "unexpected argument '" + arg + "'";
-      return false;
-    }
-    std::string name = arg.substr(2);
-    std::string inline_value;
-    bool has_inline = false;
-    const size_t eq = name.find('=');
-    if (eq != std::string::npos) {
-      inline_value = name.substr(eq + 1);
-      name = name.substr(0, eq);
-      has_inline = true;
-    }
-    if (spec.bool_flags.count(name) > 0) {
-      if (has_inline) {
-        *error = "flag '--" + name + "' does not take a value";
-        return false;
-      }
-      args->flags.insert(name);
-      if (name == "reorder") args->reorder = true;
-      if (name == "no-topup") args->no_topup = true;
-      continue;
-    }
-    if (spec.optional_value_options.count(name) > 0) {
-      args->options[name] = has_inline ? inline_value : "";
-      continue;
-    }
-    if (spec.value_options.count(name) == 0) {
-      *error = "unknown flag '--" + name + "' for command '" + args->command +
-               "'";
-      return false;
-    }
-    std::string value;
-    if (has_inline) {
-      value = inline_value;
-    } else {
-      if (i + 1 >= argc) {
-        *error = "flag '" + arg + "' needs a value";
-        return false;
-      }
-      value = argv[++i];
-    }
-    if (name == "op") {
-      args->ops.push_back(value);
-    } else {
-      args->options[name] = value;
-    }
-  }
-  return true;
-}
-
-std::string GetOption(const Args& args, const std::string& key,
-                      const std::string& fallback = "") {
-  auto it = args.options.find(key);
-  return it == args.options.end() ? fallback : it->second;
-}
+constexpr int kMaxCount = 1'000'000;
 
 int Fail(const std::string& message) {
   std::fprintf(stderr, "error: %s\n", message.c_str());
   return 1;
 }
 
-/// A bad flag *value* (e.g. --threads zero) is a usage error, same as a
-/// bad flag name: message + usage text, exit 64.
+/// A bad flag or flag value is a usage error: message + usage text, exit 64.
 int UsageFail(const std::string& message) {
   std::fprintf(stderr, "error: %s\n\n%s", message.c_str(), kUsage);
   return 64;
 }
 
-/// Parses a strictly positive integer; rejects trailing garbage ("4x").
-bool ParsePositiveInt(const std::string& text, int* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const long value = std::strtol(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  if (value < 1 || value > 1'000'000) return false;
-  *out = static_cast<int>(value);
-  return true;
+/// Parses a command's flags (the arguments after the command word), then
+/// arms fault injection (docs/fault-injection.md) from `faults` — the
+/// command's --faults value, when it has that flag — and from the
+/// GEPC_FAULTS environment variable; a bad spec is a usage error. Returns 0,
+/// or the usage exit code.
+int ParseFlags(FlagTable* flags, int argc, char** argv,
+               const std::string* faults = nullptr) {
+  const Status parsed = flags->Parse(argc, argv, /*first=*/2);
+  if (!parsed.ok()) return UsageFail(parsed.message());
+  if (faults != nullptr && !faults->empty()) {
+    const Status armed = fault::ArmFromSpec(*faults);
+    if (!armed.ok()) return UsageFail("--faults: " + armed.ToString());
+  }
+  const Status env_armed = fault::ArmFromEnv();
+  if (!env_armed.ok()) {
+    return UsageFail("GEPC_FAULTS: " + env_armed.ToString());
+  }
+  return 0;
 }
 
-int CmdGenerate(const Args& args) {
+int CmdGenerate(int argc, char** argv) {
   GeneratorConfig config;
-  config.num_users = std::atoi(GetOption(args, "users", "100").c_str());
-  config.num_events = std::atoi(GetOption(args, "events", "20").c_str());
-  config.seed = std::strtoull(GetOption(args, "seed", "42").c_str(), nullptr, 10);
-  config.mean_xi = std::atof(GetOption(args, "xi", "3").c_str());
-  config.mean_eta = std::atof(GetOption(args, "eta", "10").c_str());
-  config.conflict_ratio = std::atof(GetOption(args, "conflict", "0.25").c_str());
-  config.mean_fee = std::atof(GetOption(args, "fee", "0").c_str());
-  const std::string out = GetOption(args, "out");
+  config.mean_xi = 3.0;
+  config.mean_eta = 10.0;
+  std::string out;
+  FlagTable flags = {
+      Flag::Int("users", &config.num_users, 1, kMaxCount),
+      Flag::Int("events", &config.num_events, 1, kMaxCount),
+      Flag::Uint64("seed", &config.seed),
+      Flag::Double("xi", &config.mean_xi, 0.0),
+      Flag::Double("eta", &config.mean_eta, 1.0),
+      Flag::Double("conflict", &config.conflict_ratio, 0.0, 1.0),
+      Flag::Double("fee", &config.mean_fee, 0.0),
+      Flag::String("out", &out),
+  };
+  if (const int code = ParseFlags(&flags, argc, argv)) return code;
   if (out.empty()) return Fail("generate needs --out FILE");
 
   auto instance = GenerateInstance(config);
@@ -260,8 +148,11 @@ int CmdGenerate(const Args& args) {
   return 0;
 }
 
-int CmdStats(const Args& args) {
-  auto instance = LoadInstanceFromFile(GetOption(args, "in"));
+int CmdStats(int argc, char** argv) {
+  std::string in;
+  FlagTable flags = {Flag::String("in", &in)};
+  if (const int code = ParseFlags(&flags, argc, argv)) return code;
+  auto instance = LoadInstanceFromFile(in);
   if (!instance.ok()) return Fail(instance.status().ToString());
   int64_t positive_pairs = 0;
   for (int i = 0; i < instance->num_users(); ++i) {
@@ -285,31 +176,33 @@ int CmdStats(const Args& args) {
   return 0;
 }
 
-int CmdSolve(const Args& args) {
-  const std::string trace_file = GetOption(args, "trace");
+int CmdSolve(int argc, char** argv) {
+  std::string in;
+  std::string algorithm = "greedy";
+  bool no_topup = false;
+  ShardedGepcOptions options;
+  std::string plan_out;
+  std::string faults;
+  std::string metrics_file;
+  std::string trace_file;
+  FlagTable flags = {
+      Flag::String("in", &in),
+      Flag::Enum("algorithm", &algorithm, {"greedy", "gap", "regret"}),
+      Flag::Bool("no-topup", &no_topup),
+      Flag::Int("threads", &options.threads, 1, kMaxCount),
+      Flag::Int("shards", &options.shards, 1, kMaxCount),
+      Flag::String("plan-out", &plan_out),
+      Flag::String("faults", &faults),
+      Flag::OptionalValue("metrics", &metrics_file),
+      Flag::String("trace", &trace_file),
+  };
+  if (const int code = ParseFlags(&flags, argc, argv, &faults)) return code;
+  options.gepc.algorithm = AlgorithmFromName(algorithm);
+  options.gepc.run_topup = !no_topup;
   if (!trace_file.empty()) obs::TraceRecorder::Global().Start();
 
-  auto instance = LoadInstanceFromFile(GetOption(args, "in"));
+  auto instance = LoadInstanceFromFile(in);
   if (!instance.ok()) return Fail(instance.status().ToString());
-
-  ShardedGepcOptions options;
-  const std::string algorithm = GetOption(args, "algorithm", "greedy");
-  if (algorithm == "gap") {
-    options.gepc.algorithm = GepcAlgorithm::kGapBased;
-  } else if (algorithm == "greedy") {
-    options.gepc.algorithm = GepcAlgorithm::kGreedy;
-  } else if (algorithm == "regret") {
-    options.gepc.algorithm = GepcAlgorithm::kRegret;
-  } else {
-    return UsageFail("--algorithm must be 'greedy', 'gap' or 'regret'");
-  }
-  options.gepc.run_topup = !args.no_topup;
-  if (!ParsePositiveInt(GetOption(args, "threads", "1"), &options.threads)) {
-    return UsageFail("--threads must be a positive integer");
-  }
-  if (!ParsePositiveInt(GetOption(args, "shards", "1"), &options.shards)) {
-    return UsageFail("--shards must be a positive integer");
-  }
 
   ShardedGepcStats stats;
   auto result = SolveSharded(*instance, options, &stats);
@@ -328,7 +221,6 @@ int CmdSolve(const Args& args) {
                 stats.merge_topup_added);
   }
 
-  const std::string plan_out = GetOption(args, "plan-out");
   if (!plan_out.empty()) {
     const Status saved = SavePlanToFile(result->plan, plan_out);
     if (!saved.ok()) return Fail(saved.ToString());
@@ -343,9 +235,8 @@ int CmdSolve(const Args& args) {
     std::printf("trace written to: %s (%zu spans)\n", trace_file.c_str(),
                 obs::TraceRecorder::Global().span_count());
   }
-  if (args.options.count("metrics") > 0) {
+  if (flags.IsSet("metrics")) {
     const std::string text = obs::Registry::Global().RenderPrometheusText();
-    const std::string metrics_file = GetOption(args, "metrics");
     if (metrics_file.empty()) {
       std::printf("--- metrics ---\n%s", text.c_str());
     } else {
@@ -361,10 +252,14 @@ int CmdSolve(const Args& args) {
   return 0;
 }
 
-int CmdValidate(const Args& args) {
-  auto instance = LoadInstanceFromFile(GetOption(args, "in"));
+int CmdValidate(int argc, char** argv) {
+  std::string in;
+  std::string plan_path;
+  FlagTable flags = {Flag::String("in", &in), Flag::String("plan", &plan_path)};
+  if (const int code = ParseFlags(&flags, argc, argv)) return code;
+  auto instance = LoadInstanceFromFile(in);
   if (!instance.ok()) return Fail(instance.status().ToString());
-  auto plan = LoadPlanFromFile(GetOption(args, "plan"));
+  auto plan = LoadPlanFromFile(plan_path);
   if (!plan.ok()) return Fail(plan.status().ToString());
 
   const Status full = ValidatePlan(*instance, *plan);
@@ -383,17 +278,22 @@ int CmdValidate(const Args& args) {
   return 2;
 }
 
-int CmdItinerary(const Args& args) {
-  auto instance = LoadInstanceFromFile(GetOption(args, "in"));
+int CmdItinerary(int argc, char** argv) {
+  std::string in;
+  std::string plan_path;
+  int user = 0;
+  FlagTable flags = {
+      Flag::String("in", &in),
+      Flag::String("plan", &plan_path),
+      Flag::Int("user", &user, 0, std::numeric_limits<int>::max()),
+  };
+  if (const int code = ParseFlags(&flags, argc, argv)) return code;
+  auto instance = LoadInstanceFromFile(in);
   if (!instance.ok()) return Fail(instance.status().ToString());
-  auto plan = LoadPlanFromFile(GetOption(args, "plan"));
+  auto plan = LoadPlanFromFile(plan_path);
   if (!plan.ok()) return Fail(plan.status().ToString());
-  const std::string user_option = GetOption(args, "user");
-  if (!user_option.empty()) {
-    const int user = std::atoi(user_option.c_str());
-    if (user < 0 || user >= instance->num_users()) {
-      return Fail("--user out of range");
-    }
+  if (flags.IsSet("user")) {
+    if (user >= instance->num_users()) return Fail("--user out of range");
     std::printf("%s", BuildItinerary(*instance, *plan, user).ToString().c_str());
     return 0;
   }
@@ -403,55 +303,55 @@ int CmdItinerary(const Args& args) {
   return 0;
 }
 
-int CmdApply(const Args& args) {
-  auto instance = LoadInstanceFromFile(GetOption(args, "in"));
+int CmdApply(int argc, char** argv) {
+  std::string in;
+  std::string plan_path;
+  std::vector<std::string> specs;
+  std::string ops_file;
+  std::string plan_out;
+  bool reorder = false;
+  int shards = 1;
+  int rebalance_every = 0;
+  double rebalance_skew = 2.0;
+  FlagTable flags = {
+      Flag::String("in", &in),
+      Flag::String("plan", &plan_path),
+      Flag::Repeated("op", &specs),
+      Flag::String("ops-file", &ops_file),
+      Flag::String("plan-out", &plan_out),
+      Flag::Bool("reorder", &reorder),
+      Flag::Int("shards", &shards, 1, kMaxCount),
+      Flag::Int("rebalance-every", &rebalance_every, 0, kMaxCount),
+      Flag::Double("rebalance-skew", &rebalance_skew, 0.0),
+  };
+  if (const int code = ParseFlags(&flags, argc, argv)) return code;
+  if (shards < 2 &&
+      (flags.IsSet("rebalance-every") || flags.IsSet("rebalance-skew"))) {
+    return UsageFail("--rebalance-every/--rebalance-skew need --shards >= 2");
+  }
+  if (shards >= 2 && reorder) {
+    return UsageFail(
+        "--reorder cannot be combined with --shards: shard tracking "
+        "replays ops in submission order");
+  }
+
+  auto instance = LoadInstanceFromFile(in);
   if (!instance.ok()) return Fail(instance.status().ToString());
-  auto plan = LoadPlanFromFile(GetOption(args, "plan"));
+  auto plan = LoadPlanFromFile(plan_path);
   if (!plan.ok()) return Fail(plan.status().ToString());
   std::vector<AtomicOp> ops;
-  const std::string ops_file = GetOption(args, "ops-file");
   if (!ops_file.empty()) {
     auto loaded = LoadOpsFromFile(ops_file);
     if (!loaded.ok()) return Fail(loaded.status().ToString());
     ops = *std::move(loaded);
   }
-  for (const std::string& spec : args.ops) {
+  for (const std::string& spec : specs) {
     auto op = ParseOpSpec(spec);
     if (!op.ok()) return Fail(op.status().ToString());
     ops.push_back(*std::move(op));
   }
   if (ops.empty()) {
     return Fail("apply needs --op SPEC or --ops-file FILE");
-  }
-
-  int shards = 1;
-  if (!ParsePositiveInt(GetOption(args, "shards", "1"), &shards)) {
-    return UsageFail("--shards must be a positive integer");
-  }
-  int rebalance_every = 0;
-  const std::string every_option = GetOption(args, "rebalance-every", "0");
-  if (every_option != "0" &&
-      !ParsePositiveInt(every_option, &rebalance_every)) {
-    return UsageFail("--rebalance-every must be a non-negative integer");
-  }
-  double rebalance_skew = 2.0;
-  {
-    const std::string skew_option = GetOption(args, "rebalance-skew", "2.0");
-    char* end = nullptr;
-    rebalance_skew = std::strtod(skew_option.c_str(), &end);
-    if (skew_option.empty() || end == nullptr || *end != '\0' ||
-        rebalance_skew < 0.0) {
-      return UsageFail("--rebalance-skew must be a non-negative number");
-    }
-  }
-  if (shards < 2 && (args.options.count("rebalance-every") != 0 ||
-                     args.options.count("rebalance-skew") != 0)) {
-    return UsageFail("--rebalance-every/--rebalance-skew need --shards >= 2");
-  }
-  if (shards >= 2 && args.reorder) {
-    return UsageFail(
-        "--reorder cannot be combined with --shards: shard tracking "
-        "replays ops in submission order");
   }
 
   auto planner = IncrementalPlanner::Create(*std::move(instance),
@@ -502,7 +402,7 @@ int CmdApply(const Args& args) {
     boundary_users = tracker.partition().boundary_users.size();
   } else {
     auto applied = ApplyBatch(&*planner, std::move(ops),
-                              args.reorder ? BatchMode::kReordered
+                              reorder ? BatchMode::kReordered
                                            : BatchMode::kSequential);
     if (!applied.ok()) return Fail(applied.status().ToString());
     batch = *std::move(applied);
@@ -514,7 +414,7 @@ int CmdApply(const Args& args) {
   std::printf("negative impact:  %lld\n",
               static_cast<long long>(batch.negative_impact));
   std::printf("events below xi:  %d\n", batch.events_below_lower_bound);
-  if (args.reorder) {
+  if (reorder) {
     std::printf("final re-offer:   +%d attendances\n",
                 batch.added_by_final_reoffer);
   }
@@ -538,7 +438,6 @@ int CmdApply(const Args& args) {
                   .ToString()
                   .c_str());
 
-  const std::string plan_out = GetOption(args, "plan-out");
   if (!plan_out.empty()) {
     const Status saved = SavePlanToFile(batch.plan, plan_out);
     if (!saved.ok()) return Fail(saved.ToString());
@@ -573,49 +472,31 @@ int InspectOneCheckpoint(const std::string& path) {
 /// Organizer-side scheduling demo: generate a seeded draft problem, search
 /// (or exhaustively enumerate) candidate (slot, venue) configurations with
 /// the GEPC solver as attendance oracle, and report the chosen schedule.
-int CmdSchedule(const Args& args) {
+int CmdSchedule(int argc, char** argv) {
   ScheduleGenConfig gen;
-  if (!ParsePositiveInt(GetOption(args, "users", "200"), &gen.num_users)) {
-    return UsageFail("--users must be a positive integer");
-  }
-  if (!ParsePositiveInt(GetOption(args, "drafts", "4"), &gen.num_drafts)) {
-    return UsageFail("--drafts must be a positive integer");
-  }
-  if (!ParsePositiveInt(GetOption(args, "candidates", "3"),
-                        &gen.candidates_per_draft)) {
-    return UsageFail("--candidates must be a positive integer");
-  }
-  gen.seed = std::strtoull(GetOption(args, "seed", "42").c_str(), nullptr, 10);
-
   ScheduleOptions options;
-  options.seed = gen.seed;
-  if (!ParsePositiveInt(GetOption(args, "threads", "1"), &options.threads)) {
-    return UsageFail("--threads must be a positive integer");
-  }
-  if (!ParsePositiveInt(GetOption(args, "restarts", "2"),
-                        &options.restarts)) {
-    return UsageFail("--restarts must be a positive integer");
-  }
-  if (!ParsePositiveInt(GetOption(args, "passes", "4"),
-                        &options.max_passes)) {
-    return UsageFail("--passes must be a positive integer");
-  }
-  options.memoize = args.flags.count("no-memoize") == 0;
-
   double lambda = 0.0;
-  {
-    const std::string lambda_option = GetOption(args, "lambda", "0");
-    char* end = nullptr;
-    lambda = std::strtod(lambda_option.c_str(), &end);
-    if (lambda_option.empty() || end == nullptr || *end != '\0' ||
-        lambda < 0.0) {
-      return UsageFail("--lambda must be a non-negative number");
-    }
-  }
   int degree = 4;
-  if (!ParsePositiveInt(GetOption(args, "degree", "4"), &degree)) {
-    return UsageFail("--degree must be a positive integer");
-  }
+  bool exhaustive = false;
+  bool no_memoize = false;
+  std::string faults;
+  FlagTable flags = {
+      Flag::Int("users", &gen.num_users, 1, kMaxCount),
+      Flag::Int("drafts", &gen.num_drafts, 1, kMaxCount),
+      Flag::Int("candidates", &gen.candidates_per_draft, 1, kMaxCount),
+      Flag::Uint64("seed", &gen.seed),
+      Flag::Double("lambda", &lambda, 0.0),
+      Flag::Int("degree", &degree, 1, kMaxCount),
+      Flag::Int("threads", &options.threads, 1, kMaxCount),
+      Flag::Int("restarts", &options.restarts, 1, kMaxCount),
+      Flag::Int("passes", &options.max_passes, 1, kMaxCount),
+      Flag::Bool("exhaustive", &exhaustive),
+      Flag::Bool("no-memoize", &no_memoize),
+      Flag::String("faults", &faults),
+  };
+  if (const int code = ParseFlags(&flags, argc, argv, &faults)) return code;
+  options.seed = gen.seed;
+  options.memoize = !no_memoize;
 
   ScheduleProblem problem = GenerateScheduleProblem(gen);
   FriendshipGraph friends;
@@ -629,7 +510,6 @@ int CmdSchedule(const Args& args) {
   }
 
   ScheduleCache cache;
-  const bool exhaustive = args.flags.count("exhaustive") > 0;
   auto result = exhaustive ? EnumerateSchedule(problem, options, &cache)
                            : SolveSchedule(problem, options, &cache);
   if (!result.ok()) return Fail(result.status().ToString());
@@ -673,32 +553,39 @@ int CmdSchedule(const Args& args) {
 
 /// Named multi-day scenarios (src/sim/scenarios.h): the preset picks the
 /// workload shape; --days/--users/--events/--resolve override on top.
-int CmdSim(const Args& args) {
-  const std::string scenario = GetOption(args, "scenario");
-  if (scenario.empty()) {
+int CmdSim(int argc, char** argv) {
+  ScenarioPreset preset = ScenarioPreset::kMixed;  // --scenario is required
+  uint64_t seed = 42;
+  int days = 0;
+  int users = 0;
+  int events = 0;
+  bool resolve = false;
+  std::string faults;
+  FlagTable flags = {
+      Flag::Custom("scenario",
+                   [&preset](const std::string& name) {
+                     return ParseScenarioPreset(name, &preset)
+                                ? Status::OK()
+                                : Status::InvalidArgument(
+                                      "expected scheduling|affinity|mixed, "
+                                      "got '" + name + "'");
+                   }),
+      Flag::Int("days", &days, 1, kMaxCount),
+      Flag::Uint64("seed", &seed),
+      Flag::Int("users", &users, 1, kMaxCount),
+      Flag::Int("events", &events, 1, kMaxCount),
+      Flag::Bool("resolve", &resolve),
+      Flag::String("faults", &faults),
+  };
+  if (const int code = ParseFlags(&flags, argc, argv, &faults)) return code;
+  if (!flags.IsSet("scenario")) {
     return UsageFail("sim needs --scenario scheduling|affinity|mixed");
   }
-  ScenarioPreset preset;
-  if (!ParseScenarioPreset(scenario, &preset)) {
-    return UsageFail("--scenario must be 'scheduling', 'affinity' or "
-                     "'mixed'");
-  }
-  const uint64_t seed =
-      std::strtoull(GetOption(args, "seed", "42").c_str(), nullptr, 10);
   SimulationConfig config = MakeScenarioConfig(preset, seed);
-  if (args.options.count("days") > 0 &&
-      !ParsePositiveInt(GetOption(args, "days"), &config.num_days)) {
-    return UsageFail("--days must be a positive integer");
-  }
-  if (args.options.count("users") > 0 &&
-      !ParsePositiveInt(GetOption(args, "users"), &config.base.num_users)) {
-    return UsageFail("--users must be a positive integer");
-  }
-  if (args.options.count("events") > 0 &&
-      !ParsePositiveInt(GetOption(args, "events"), &config.base.num_events)) {
-    return UsageFail("--events must be a positive integer");
-  }
-  config.incremental = args.flags.count("resolve") == 0;
+  if (flags.IsSet("days")) config.num_days = days;
+  if (flags.IsSet("users")) config.base.num_users = users;
+  if (flags.IsSet("events")) config.base.num_events = events;
+  config.incremental = !resolve;
 
   auto result = RunSimulation(config);
   if (!result.ok()) return Fail(result.status().ToString());
@@ -721,9 +608,11 @@ int CmdSim(const Args& args) {
   return 0;
 }
 
-int CmdCkptInspect(const Args& args) {
-  const std::string ckpt = GetOption(args, "ckpt");
-  const std::string dir = GetOption(args, "dir");
+int CmdCkptInspect(int argc, char** argv) {
+  std::string ckpt;
+  std::string dir;
+  FlagTable flags = {Flag::String("ckpt", &ckpt), Flag::String("dir", &dir)};
+  if (const int code = ParseFlags(&flags, argc, argv)) return code;
   if (ckpt.empty() == dir.empty()) {
     return UsageFail("ckpt-inspect needs exactly one of --ckpt or --dir");
   }
@@ -751,8 +640,10 @@ int CmdCkptInspect(const Args& args) {
 /// probe. A missing file or interior corruption is a defect (exit 1); a
 /// torn tail alone is not — recovery discards it by design — but it is
 /// reported so the operator knows a crash interrupted an append.
-int CmdJournalInspect(const Args& args) {
-  const std::string path = GetOption(args, "journal");
+int CmdJournalInspect(int argc, char** argv) {
+  std::string path;
+  FlagTable flags = {Flag::String("journal", &path)};
+  if (const int code = ParseFlags(&flags, argc, argv)) return code;
   if (path.empty()) return UsageFail("journal-inspect needs --journal FILE");
   std::printf("journal:          %s\n", path.c_str());
   auto scan = ScanJournalFile(path);
@@ -783,34 +674,19 @@ int CmdJournalInspect(const Args& args) {
 }
 
 int Main(int argc, char** argv) {
-  Args args;
-  std::string error;
-  if (!ParseArgs(argc, argv, &args, &error)) {
-    std::fprintf(stderr, "error: %s\n\n%s", error.c_str(), kUsage);
-    return 64;
-  }
-  // Fault injection (docs/fault-injection.md): --faults SPEC (solve) and
-  // the GEPC_FAULTS environment variable; a bad spec is a usage error.
-  const std::string faults = GetOption(args, "faults");
-  if (!faults.empty()) {
-    const Status armed = fault::ArmFromSpec(faults);
-    if (!armed.ok()) return UsageFail("--faults: " + armed.ToString());
-  }
-  const Status env_armed = fault::ArmFromEnv();
-  if (!env_armed.ok()) return UsageFail("GEPC_FAULTS: " +
-                                        env_armed.ToString());
-  if (args.command == "generate") return CmdGenerate(args);
-  if (args.command == "stats") return CmdStats(args);
-  if (args.command == "solve") return CmdSolve(args);
-  if (args.command == "validate") return CmdValidate(args);
-  if (args.command == "apply") return CmdApply(args);
-  if (args.command == "itinerary") return CmdItinerary(args);
-  if (args.command == "schedule") return CmdSchedule(args);
-  if (args.command == "sim") return CmdSim(args);
-  if (args.command == "ckpt-inspect") return CmdCkptInspect(args);
-  if (args.command == "journal-inspect") return CmdJournalInspect(args);
-  std::fprintf(stderr, "%s", kUsage);  // unreachable: ParseArgs validated
-  return 64;
+  const Result<std::string> command = CommandWord(argc, argv);
+  if (!command.ok()) return UsageFail(command.status().message());
+  if (*command == "generate") return CmdGenerate(argc, argv);
+  if (*command == "stats") return CmdStats(argc, argv);
+  if (*command == "solve") return CmdSolve(argc, argv);
+  if (*command == "validate") return CmdValidate(argc, argv);
+  if (*command == "apply") return CmdApply(argc, argv);
+  if (*command == "itinerary") return CmdItinerary(argc, argv);
+  if (*command == "schedule") return CmdSchedule(argc, argv);
+  if (*command == "sim") return CmdSim(argc, argv);
+  if (*command == "ckpt-inspect") return CmdCkptInspect(argc, argv);
+  if (*command == "journal-inspect") return CmdJournalInspect(argc, argv);
+  return UsageFail("unknown command '" + *command + "'");
 }
 
 }  // namespace cli

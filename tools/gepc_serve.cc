@@ -55,12 +55,13 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 
+#include "common/flags.h"
 #include "data/io.h"
 #include "fault/fault.h"
 #include "gepc/solver.h"
@@ -91,7 +92,7 @@ struct Args {
   std::string metrics_file;
   std::string trace_file;
   bool recover = false;
-  size_t queue_capacity = 1024;
+  int queue_capacity = 1024;
   int snapshot_every = 1;
   /// Durable checkpointing (src/ckpt): directory for GCKP1 files, the
   /// auto-trigger cadence (0 = on demand only), and how many generations
@@ -162,228 +163,93 @@ int Fail(const std::string& message) {
   return 1;
 }
 
-/// Parses a strictly positive integer; rejects trailing garbage ("4x").
-bool ParsePositiveInt(const std::string& text, int* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const long value = std::strtol(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  if (value < 1 || value > 1'000'000) return false;
-  *out = static_cast<int>(value);
-  return true;
-}
-
-/// Parses the --listen spec: "PORT" or "HOST:PORT"; port 0 = ephemeral.
-bool ParseListenSpec(const std::string& spec, std::string* host, int* port) {
-  std::string port_text = spec;
-  const size_t colon = spec.rfind(':');
-  if (colon != std::string::npos) {
-    *host = spec.substr(0, colon);
-    port_text = spec.substr(colon + 1);
-    if (host->empty()) return false;
-  }
-  if (port_text.empty()) return false;
-  char* end = nullptr;
-  const long value = std::strtol(port_text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  if (value < 0 || value > 65535) return false;
-  *port = static_cast<int>(value);
-  return true;
-}
-
-bool ParseArgs(int argc, char** argv, Args* args, std::string* error) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](std::string* out) {
-      if (i + 1 >= argc) {
-        *error = arg + " needs a value";
-        return false;
-      }
-      *out = argv[++i];
-      return true;
-    };
-    std::string text;
-    if (arg == "--recover") {
-      args->recover = true;
-    } else if (arg == "--in") {
-      if (!value(&args->in)) return false;
-    } else if (arg == "--plan") {
-      if (!value(&args->plan)) return false;
-    } else if (arg == "--journal") {
-      if (!value(&args->journal)) return false;
-    } else if (arg == "--algorithm") {
-      if (!value(&args->algorithm)) return false;
-    } else if (arg == "--threads") {
-      if (!value(&text)) return false;
-      if (!ParsePositiveInt(text, &args->threads)) {
-        *error = "--threads must be a positive integer";
-        return false;
-      }
-    } else if (arg == "--shards") {
-      if (!value(&text)) return false;
-      if (!ParsePositiveInt(text, &args->shards)) {
-        *error = "--shards must be a positive integer";
-        return false;
-      }
-    } else if (arg == "--rebalance-every") {
-      if (!value(&text)) return false;
-      if (text == "0") {
-        args->rebalance_every = 0;  // tracker on, rebalance on demand only
-      } else if (!ParsePositiveInt(text, &args->rebalance_every)) {
-        *error = "--rebalance-every must be a non-negative integer";
-        return false;
-      }
-    } else if (arg == "--rebalance-skew") {
-      if (!value(&text)) return false;
-      char* end = nullptr;
-      args->rebalance_skew = std::strtod(text.c_str(), &end);
-      if (end == nullptr || *end != '\0' || text.empty() ||
-          args->rebalance_skew < 0.0) {
-        *error = "--rebalance-skew must be a non-negative number";
-        return false;
-      }
-    } else if (arg == "--faults") {
-      if (!value(&args->faults)) return false;
-    } else if (arg == "--checkpoint-dir") {
-      if (!value(&args->checkpoint_dir)) return false;
-    } else if (arg == "--checkpoint-every") {
-      if (!value(&text)) return false;
-      if (!ParsePositiveInt(text, &args->checkpoint_every)) {
-        *error = "--checkpoint-every must be a positive integer";
-        return false;
-      }
-    } else if (arg == "--checkpoint-retain") {
-      if (!value(&text)) return false;
-      if (!ParsePositiveInt(text, &args->checkpoint_retain)) {
-        *error = "--checkpoint-retain must be a positive integer";
-        return false;
-      }
-    } else if (arg == "--metrics") {
-      if (!value(&args->metrics_file)) return false;
-    } else if (arg == "--trace") {
-      if (!value(&args->trace_file)) return false;
-    } else if (arg == "--queue") {
-      if (!value(&text)) return false;
-      args->queue_capacity = static_cast<size_t>(std::atoll(text.c_str()));
-    } else if (arg == "--snapshot-every") {
-      if (!value(&text)) return false;
-      args->snapshot_every = std::atoi(text.c_str());
-    } else if (arg == "--listen") {
-      if (!value(&text)) return false;
-      if (!ParseListenSpec(text, &args->listen_host, &args->listen_port)) {
-        *error = "--listen must be PORT or HOST:PORT (port 0 = ephemeral)";
-        return false;
-      }
-      args->listen = true;
-    } else if (arg == "--max-conns") {
-      if (!value(&text)) return false;
-      if (!ParsePositiveInt(text, &args->max_connections)) {
-        *error = "--max-conns must be a positive integer";
-        return false;
-      }
-    } else if (arg == "--net-read-workers") {
-      if (!value(&text)) return false;
-      if (!ParsePositiveInt(text, &args->net_read_workers)) {
-        *error = "--net-read-workers must be a positive integer";
-        return false;
-      }
-    } else if (arg == "--net-op-workers") {
-      if (!value(&text)) return false;
-      if (!ParsePositiveInt(text, &args->net_op_workers)) {
-        *error = "--net-op-workers must be a positive integer";
-        return false;
-      }
-    } else if (arg == "--net-queue") {
-      if (!value(&text)) return false;
-      if (!ParsePositiveInt(text, &args->net_queue)) {
-        *error = "--net-queue must be a positive integer";
-        return false;
-      }
-    } else if (arg == "--net-compress") {
-      args->net_compress = true;
-    } else if (arg == "--repl") {
-      args->repl = true;
-    } else if (arg == "--follow") {
-      if (!value(&text)) return false;
-      if (!ParseListenSpec(text, &args->follow_host, &args->follow_port) ||
-          args->follow_port == 0) {
-        *error = "--follow must be HOST:PORT or PORT (the primary's)";
-        return false;
-      }
-      args->follow = true;
-    } else if (arg == "--repl-heartbeat-ms") {
-      if (!value(&text)) return false;
-      if (!ParsePositiveInt(text, &args->repl_heartbeat_ms)) {
-        *error = "--repl-heartbeat-ms must be a positive integer";
-        return false;
-      }
-    } else if (arg == "--repl-timeout-ms") {
-      if (!value(&text)) return false;
-      if (!ParsePositiveInt(text, &args->repl_timeout_ms)) {
-        *error = "--repl-timeout-ms must be a positive integer";
-        return false;
-      }
-    } else if (arg == "--repl-promote-after-ms") {
-      if (!value(&text)) return false;
-      if (text == "0") {
-        args->repl_promote_after_ms = 0;  // manual failover only
-      } else if (!ParsePositiveInt(text, &args->repl_promote_after_ms)) {
-        *error = "--repl-promote-after-ms must be a non-negative integer";
-        return false;
-      }
-    } else {
-      *error = "unknown flag '" + arg + "'";
-      return false;
-    }
-  }
+Status ParseArgs(int argc, char** argv, Args* args) {
+  constexpr int kMax = 1'000'000;
+  FlagTable flags = {
+      Flag::String("in", &args->in),
+      Flag::String("plan", &args->plan),
+      Flag::String("journal", &args->journal),
+      Flag::Bool("recover", &args->recover),
+      Flag::Enum("algorithm", &args->algorithm, {"greedy", "gap", "regret"}),
+      Flag::Int("threads", &args->threads, 1, kMax),
+      Flag::Int("shards", &args->shards, 1, kMax),
+      Flag::Int("rebalance-every", &args->rebalance_every, 0, kMax),
+      Flag::Double("rebalance-skew", &args->rebalance_skew, 0.0),
+      Flag::Int("queue", &args->queue_capacity, 1,
+                std::numeric_limits<int>::max()),
+      Flag::Int("snapshot-every", &args->snapshot_every, 1, kMax),
+      Flag::String("faults", &args->faults),
+      Flag::String("checkpoint-dir", &args->checkpoint_dir),
+      Flag::Int("checkpoint-every", &args->checkpoint_every, 1, kMax),
+      Flag::Int("checkpoint-retain", &args->checkpoint_retain, 1, kMax),
+      Flag::String("metrics", &args->metrics_file),
+      Flag::String("trace", &args->trace_file),
+      Flag::Custom("listen",
+                   [args](const std::string& spec) {
+                     args->listen = true;
+                     return ParseHostPort(spec, 0, &args->listen_host,
+                                          &args->listen_port);
+                   }),
+      Flag::Int("max-conns", &args->max_connections, 1, kMax),
+      Flag::Int("net-read-workers", &args->net_read_workers, 1, kMax),
+      Flag::Int("net-op-workers", &args->net_op_workers, 1, kMax),
+      Flag::Int("net-queue", &args->net_queue, 1, kMax),
+      Flag::Bool("net-compress", &args->net_compress),
+      Flag::Bool("repl", &args->repl),
+      Flag::Custom("follow",
+                   [args](const std::string& spec) {
+                     args->follow = true;
+                     return ParseHostPort(spec, 1, &args->follow_host,
+                                          &args->follow_port);
+                   }),
+      Flag::Int("repl-heartbeat-ms", &args->repl_heartbeat_ms, 1, kMax),
+      Flag::Int("repl-timeout-ms", &args->repl_timeout_ms, 1, kMax),
+      Flag::Int("repl-promote-after-ms", &args->repl_promote_after_ms, 0,
+                kMax),
+  };
+  GEPC_RETURN_IF_ERROR(flags.Parse(argc, argv));
   if (args->follow) {
     if (!args->in.empty()) {
-      *error = "--follow and --in are incompatible (a follower's state comes "
-               "from the primary)";
-      return false;
+      return Status::InvalidArgument(
+          "--follow and --in are incompatible (a follower's state comes "
+          "from the primary)");
     }
     if (args->recover) {
-      *error = "--follow recovers local state automatically; drop --recover";
-      return false;
+      return Status::InvalidArgument(
+          "--follow recovers local state automatically; drop --recover");
     }
     if (args->repl) {
-      *error = "--follow and --repl are incompatible (no chained replication)";
-      return false;
+      return Status::InvalidArgument(
+          "--follow and --repl are incompatible (no chained replication)");
     }
     if (args->journal.empty() || args->checkpoint_dir.empty()) {
-      *error = "--follow needs --journal and --checkpoint-dir (promotion and "
-               "crash recovery depend on local durability)";
-      return false;
+      return Status::InvalidArgument(
+          "--follow needs --journal and --checkpoint-dir (promotion and "
+          "crash recovery depend on local durability)");
     }
   } else if (args->in.empty()) {
-    *error = "--in FILE is required";
-    return false;
+    return Status::InvalidArgument("--in FILE is required");
   }
   if (args->repl) {
     if (!args->listen) {
-      *error = "--repl needs --listen (followers connect to that port)";
-      return false;
+      return Status::InvalidArgument(
+          "--repl needs --listen (followers connect to that port)");
     }
     if (args->journal.empty() || args->checkpoint_dir.empty()) {
-      *error = "--repl needs --journal and --checkpoint-dir (they are what "
-               "gets shipped)";
-      return false;
+      return Status::InvalidArgument(
+          "--repl needs --journal and --checkpoint-dir (they are what gets "
+          "shipped)");
     }
   }
-  if (args->algorithm != "greedy" && args->algorithm != "gap" &&
-      args->algorithm != "regret") {
-    *error = "--algorithm must be 'greedy', 'gap' or 'regret'";
-    return false;
-  }
   if (args->checkpoint_every > 0 && args->checkpoint_dir.empty()) {
-    *error = "--checkpoint-every needs --checkpoint-dir";
-    return false;
+    return Status::InvalidArgument(
+        "--checkpoint-every needs --checkpoint-dir");
   }
   if (args->rebalance_every >= 0 && args->shards < 2) {
-    *error = "--rebalance-every needs --shards >= 2 (one shard cannot skew)";
-    return false;
+    return Status::InvalidArgument(
+        "--rebalance-every needs --shards >= 2 (one shard cannot skew)");
   }
-  return true;
+  return Status::OK();
 }
 
 void Respond(const JsonWriter& writer) {
@@ -428,9 +294,9 @@ int RunNetServer(const Args& args, PlanningService* service,
 
 int Main(int argc, char** argv) {
   Args args;
-  std::string parse_error;
-  if (!ParseArgs(argc, argv, &args, &parse_error)) {
-    std::fprintf(stderr, "error: %s\n", parse_error.c_str());
+  const Status parsed = ParseArgs(argc, argv, &args);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "error: %s\n", parsed.message().c_str());
     return Usage();
   }
 
@@ -471,7 +337,7 @@ int Main(int argc, char** argv) {
     follow_options.primary_port = args.follow_port;
     follow_options.journal_path = args.journal;
     follow_options.checkpoint_dir = args.checkpoint_dir;
-    follow_options.queue_capacity = args.queue_capacity;
+    follow_options.queue_capacity = static_cast<size_t>(args.queue_capacity);
     follow_options.snapshot_every = args.snapshot_every;
     follow_options.checkpoint_every = args.checkpoint_every;
     follow_options.checkpoint_retain = args.checkpoint_retain;
@@ -502,7 +368,7 @@ int Main(int argc, char** argv) {
 
     ServiceOptions options;
     options.journal_path = args.journal;
-    options.queue_capacity = args.queue_capacity;
+    options.queue_capacity = static_cast<size_t>(args.queue_capacity);
     options.snapshot_every = args.snapshot_every;
     options.checkpoint_dir = args.checkpoint_dir;
     options.checkpoint_every = args.checkpoint_every;

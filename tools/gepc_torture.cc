@@ -28,10 +28,10 @@
 // errors. See docs/fault-injection.md.
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 
+#include "common/flags.h"
 #include "common/logging.h"
 #include "repl/failover.h"
 #include "service/torture.h"
@@ -54,17 +54,6 @@ int Usage() {
   return 64;
 }
 
-bool ParsePositiveInt(const std::string& text, int* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const long value = std::strtol(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || value <= 0 || value > 1000000) {
-    return false;
-  }
-  *out = static_cast<int>(value);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -72,60 +61,28 @@ int main(int argc, char** argv) {
   gepc::SetLogLevel(gepc::LogLevel::kWarning);
   gepc::TortureOptions options;
   bool failover = false;
+  bool no_service_recover = false;
   int offset_stride = 1;
   std::string workdir;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--byte-level") {
-      options.byte_level = true;
-    } else if (arg == "--failover") {
-      failover = true;
-    } else if (arg == "--offset-stride") {
-      const char* value = next();
-      if (value == nullptr || !ParsePositiveInt(value, &offset_stride)) {
-        return Usage();
-      }
-    } else if (arg == "--no-service-recover") {
-      options.service_recover = false;
-    } else if (arg == "--users") {
-      const char* value = next();
-      if (value == nullptr || !ParsePositiveInt(value, &options.users)) {
-        return Usage();
-      }
-    } else if (arg == "--events") {
-      const char* value = next();
-      if (value == nullptr || !ParsePositiveInt(value, &options.events)) {
-        return Usage();
-      }
-    } else if (arg == "--ops") {
-      const char* value = next();
-      if (value == nullptr || !ParsePositiveInt(value, &options.ops)) {
-        return Usage();
-      }
-    } else if (arg == "--checkpoint-every") {
-      const char* value = next();
-      if (value == nullptr ||
-          !ParsePositiveInt(value, &options.checkpoint_every)) {
-        return Usage();
-      }
-    } else if (arg == "--seed") {
-      const char* value = next();
-      if (value == nullptr) return Usage();
-      char* end = nullptr;
-      options.seed = std::strtoull(value, &end, 10);
-      if (end == nullptr || *end != '\0') return Usage();
-    } else if (arg == "--workdir") {
-      const char* value = next();
-      if (value == nullptr) return Usage();
-      workdir = value;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return Usage();
-    }
+  constexpr int kMax = 1'000'000;
+  gepc::FlagTable flags = {
+      gepc::Flag::Int("users", &options.users, 1, kMax),
+      gepc::Flag::Int("events", &options.events, 1, kMax),
+      gepc::Flag::Int("ops", &options.ops, 1, kMax),
+      gepc::Flag::Uint64("seed", &options.seed),
+      gepc::Flag::Bool("byte-level", &options.byte_level),
+      gepc::Flag::Bool("no-service-recover", &no_service_recover),
+      gepc::Flag::Int("checkpoint-every", &options.checkpoint_every, 1, kMax),
+      gepc::Flag::String("workdir", &workdir),
+      gepc::Flag::Bool("failover", &failover),
+      gepc::Flag::Int("offset-stride", &offset_stride, 1, kMax),
+  };
+  const gepc::Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "error: %s\n", parsed.message().c_str());
+    return Usage();
   }
+  options.service_recover = !no_service_recover;
 
   std::error_code ec;
   if (workdir.empty()) {
