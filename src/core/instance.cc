@@ -1,5 +1,6 @@
 #include "core/instance.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "geom/point.h"
@@ -9,25 +10,22 @@ namespace gepc {
 Instance::Instance(std::vector<User> users, std::vector<Event> events)
     : users_(std::move(users)),
       events_(std::move(events)),
-      utilities_(users_.size() * events_.size(), 0.0) {}
-
-Instance::Instance(const Instance& other)
-    : users_(other.users_),
-      events_(other.events_),
-      utilities_(other.utilities_) {}
-
-Instance& Instance::operator=(const Instance& other) {
-  if (this != &other) {
-    users_ = other.users_;
-    events_ = other.events_;
-    utilities_ = other.utilities_;
-    conflict_cache_.reset();
-  }
-  return *this;
+      utilities_(std::make_shared<double[]>(users_.size() * events_.size())) {
+  RebuildConflicts();
 }
 
 void Instance::set_utility(UserId i, EventId j, double value) {
   assert(i >= 0 && i < num_users() && j >= 0 && j < num_events());
+  // use_count() is a relaxed load: seeing 1 would not order this write after
+  // the reads another thread made through a copy it has since dropped.
+  // Copying the pointer is an acquire-release increment of the same counter
+  // (libstdc++), which does order it, visibly to TSan.
+  const std::shared_ptr<double[]> probe = utilities_;
+  if (probe.use_count() > 2) {
+    const size_t cells = users_.size() * events_.size();
+    utilities_ = std::make_shared_for_overwrite<double[]>(cells);
+    std::copy_n(probe.get(), cells, utilities_.get());
+  }
   utilities_[static_cast<size_t>(i) * events_.size() + static_cast<size_t>(j)] =
       value;
 }
@@ -42,14 +40,11 @@ double Instance::EventEventDistance(EventId a, EventId b) const {
                   events_[static_cast<size_t>(b)].location);
 }
 
-const ConflictGraph& Instance::conflicts() const {
-  if (conflict_cache_ == nullptr) {
-    std::vector<Interval> intervals;
-    intervals.reserve(events_.size());
-    for (const Event& e : events_) intervals.push_back(e.time);
-    conflict_cache_ = std::make_unique<ConflictGraph>(intervals);
-  }
-  return *conflict_cache_;
+void Instance::RebuildConflicts() {
+  std::vector<Interval> intervals;
+  intervals.reserve(events_.size());
+  for (const Event& e : events_) intervals.push_back(e.time);
+  conflicts_ = std::make_shared<const ConflictGraph>(intervals);
 }
 
 void Instance::set_user_budget(UserId i, double budget) {
@@ -77,7 +72,7 @@ Status Instance::set_event_time(EventId j, Interval time) {
     return Status::InvalidArgument("event holding time must have start < end");
   }
   events_[static_cast<size_t>(j)].time = time;
-  conflict_cache_.reset();
+  RebuildConflicts();
   return Status::OK();
 }
 
@@ -91,7 +86,8 @@ EventId Instance::AddEvent(const Event& event,
   assert(static_cast<int>(utilities.size()) == num_users());
   const int old_m = num_events();
   const int new_m = old_m + 1;
-  std::vector<double> grown(users_.size() * static_cast<size_t>(new_m), 0.0);
+  auto grown = std::make_shared_for_overwrite<double[]>(
+      users_.size() * static_cast<size_t>(new_m));
   for (int i = 0; i < num_users(); ++i) {
     for (int j = 0; j < old_m; ++j) {
       grown[static_cast<size_t>(i) * static_cast<size_t>(new_m) +
@@ -102,14 +98,11 @@ EventId Instance::AddEvent(const Event& event,
   }
   utilities_ = std::move(grown);
   events_.push_back(event);
-  conflict_cache_.reset();
+  RebuildConflicts();
   return old_m;
 }
 
 Status Instance::Validate() const {
-  if (utilities_.size() != users_.size() * events_.size()) {
-    return Status::Internal("utility matrix dimensions do not match instance");
-  }
   for (int i = 0; i < num_users(); ++i) {
     if (users_[static_cast<size_t>(i)].budget < 0.0) {
       return Status::InvalidArgument("user " + std::to_string(i) +
@@ -131,10 +124,10 @@ Status Instance::Validate() const {
       }
     }
   }
-  for (double mu : utilities_) {
-    if (mu < 0.0) {
-      return Status::InvalidArgument("utility scores must be non-negative");
-    }
+  const size_t cells = users_.size() * events_.size();
+  if (std::any_of(utilities_.get(), utilities_.get() + cells,
+                  [](double mu) { return mu < 0.0; })) {
+    return Status::InvalidArgument("utility scores must be non-negative");
   }
   return Status::OK();
 }

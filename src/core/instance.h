@@ -16,21 +16,18 @@ namespace gepc {
 /// A complete EBSN planning instance: n users, m events, and the n x m
 /// utility matrix mu(u_i, e_j) >= 0 (mu == 0 means "cannot / will not
 /// attend", Sec. II). The instance is mutable because the IEP atomic
-/// operations (Sec. IV) edit exactly these fields; mutations that can change
-/// the time-conflict relation invalidate the cached ConflictGraph.
+/// operations (Sec. IV) edit exactly these fields.
+///
+/// Copies are cheap: they share the utility matrix and the ConflictGraph.
+/// The matrix is copy-on-write (set_utility clones it while another Instance
+/// still shares it); the graph is immutable and replaced whenever an event's
+/// time changes or an event is added.
 class Instance {
  public:
-  Instance() = default;
+  Instance() : Instance({}, {}) {}
 
   /// Builds an instance with all utilities zero; fill with set_utility.
   Instance(std::vector<User> users, std::vector<Event> events);
-
-  /// Copies duplicate the data but not the lazily-built conflict cache
-  /// (it is rebuilt on first use); IEP baselines copy instances to mutate.
-  Instance(const Instance& other);
-  Instance& operator=(const Instance& other);
-  Instance(Instance&&) = default;
-  Instance& operator=(Instance&&) = default;
 
   int num_users() const { return static_cast<int>(users_.size()); }
   int num_events() const { return static_cast<int>(events_.size()); }
@@ -53,8 +50,8 @@ class Instance {
   double UserEventDistance(UserId i, EventId j) const;
   double EventEventDistance(EventId a, EventId b) const;
 
-  /// Pairwise time-conflict relation over events, built lazily and cached.
-  const ConflictGraph& conflicts() const;
+  /// Pairwise time-conflict relation over events.
+  const ConflictGraph& conflicts() const { return *conflicts_; }
 
   /// True iff events a and b cannot both be in one user's plan.
   bool EventsConflict(EventId a, EventId b) const {
@@ -70,8 +67,8 @@ class Instance {
   /// Returns InvalidArgument if the pair is inconsistent.
   Status set_event_bounds(EventId j, int lower, int upper);
 
-  /// Changes an event's holding time (atomic op on ts / tt); invalidates the
-  /// conflict cache. Returns InvalidArgument for an empty interval.
+  /// Changes an event's holding time (atomic op on ts / tt); rebuilds the
+  /// conflict graph. Returns InvalidArgument for an empty interval.
   Status set_event_time(EventId j, Interval time);
 
   /// Changes an event's location (atomic op "location changed").
@@ -89,12 +86,12 @@ class Instance {
   int64_t TotalLowerBound() const;
 
  private:
+  void RebuildConflicts();
+
   std::vector<User> users_;
   std::vector<Event> events_;
-  std::vector<double> utilities_;  // row-major n x m
-
-  // Lazy conflict cache. Rebuilt after any event-time mutation.
-  mutable std::unique_ptr<ConflictGraph> conflict_cache_;
+  std::shared_ptr<double[]> utilities_;  // row-major n x m, copy-on-write
+  std::shared_ptr<const ConflictGraph> conflicts_;
 };
 
 }  // namespace gepc

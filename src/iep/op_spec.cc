@@ -1,6 +1,9 @@
 #include "iep/op_spec.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 namespace gepc {
@@ -25,10 +28,16 @@ std::vector<std::string> SplitSpec(const std::string& spec) {
 
 Result<int> ParseIntField(const std::string& spec, const std::string& field) {
   char* end = nullptr;
+  errno = 0;
   const long value = std::strtol(field.c_str(), &end, 10);
   if (field.empty() || end == nullptr || *end != '\0') {
     return Status::InvalidArgument("op '" + spec + "': '" + field +
                                    "' is not an integer");
+  }
+  if (errno == ERANGE || value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("op '" + spec + "': '" + field +
+                                   "' does not fit in an int");
   }
   return static_cast<int>(value);
 }
@@ -40,6 +49,10 @@ Result<double> ParseDoubleField(const std::string& spec,
   if (field.empty() || end == nullptr || *end != '\0') {
     return Status::InvalidArgument("op '" + spec + "': '" + field +
                                    "' is not a number");
+  }
+  if (!std::isfinite(value)) {
+    return Status::InvalidArgument("op '" + spec + "': '" + field +
+                                   "' is not finite");
   }
   return value;
 }

@@ -1,6 +1,9 @@
 #include "iep/trace.h"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <initializer_list>
 #include <iomanip>
 #include <sstream>
 
@@ -10,6 +13,15 @@ namespace {
 
 Status TraceError(int line, const std::string& what) {
   return Status::InvalidArgument("line " + std::to_string(line) + ": " + what);
+}
+
+// ParseOpRow cannot read nan or inf back, so SaveOp never writes them.
+Status RequireFinite(std::initializer_list<double> values) {
+  if (std::all_of(values.begin(), values.end(),
+                  [](double v) { return std::isfinite(v); })) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument("op value is not finite");
 }
 
 }  // namespace
@@ -28,17 +40,27 @@ Status SaveOp(const AtomicOp& op, std::ostream& out) {
           << op.new_time.end << "\n";
       break;
     case AtomicOp::Kind::kLocationChanged:
+      GEPC_RETURN_IF_ERROR(
+          RequireFinite({op.new_location.x, op.new_location.y}));
       out << "loc " << op.event << " " << op.new_location.x << " "
           << op.new_location.y << "\n";
       break;
     case AtomicOp::Kind::kBudgetChanged:
+      GEPC_RETURN_IF_ERROR(RequireFinite({op.new_budget}));
       out << "budget " << op.user << " " << op.new_budget << "\n";
       break;
     case AtomicOp::Kind::kUtilityChanged:
+      GEPC_RETURN_IF_ERROR(RequireFinite({op.new_utility}));
       out << "mu " << op.user << " " << op.event << " " << op.new_utility
           << "\n";
       break;
     case AtomicOp::Kind::kNewEvent: {
+      GEPC_RETURN_IF_ERROR(RequireFinite({op.new_event.location.x,
+                                          op.new_event.location.y,
+                                          op.new_event.fee}));
+      for (double mu : op.new_event_utilities) {
+        GEPC_RETURN_IF_ERROR(RequireFinite({mu}));
+      }
       out << "new " << op.new_event.location.x << " "
           << op.new_event.location.y << " " << op.new_event.lower_bound
           << " " << op.new_event.upper_bound << " "

@@ -239,7 +239,6 @@ bool Follower::TryLocalRecovery() {
   service_options.journal_path = options_.journal_path;
   service_options.checkpoint_dir = options_.checkpoint_dir;
   service_options.queue_capacity = options_.queue_capacity;
-  service_options.snapshot_every = options_.snapshot_every;
   service_options.checkpoint_every = options_.checkpoint_every;
   service_options.checkpoint_retain = options_.checkpoint_retain;
   auto recovered =
@@ -291,7 +290,6 @@ Status Follower::ReceiveCheckpoint(uint64_t version, uint64_t bytes) {
   service_options.journal_path = options_.journal_path;
   service_options.checkpoint_dir = options_.checkpoint_dir;
   service_options.queue_capacity = options_.queue_capacity;
-  service_options.snapshot_every = options_.snapshot_every;
   service_options.checkpoint_every = options_.checkpoint_every;
   service_options.checkpoint_retain = options_.checkpoint_retain;
   auto recovered =

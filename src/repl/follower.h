@@ -32,7 +32,6 @@ struct FollowerOptions {
 
   /// Passed through to the local PlanningService.
   size_t queue_capacity = 1024;
-  int snapshot_every = 1;
   int checkpoint_every = 0;
   int checkpoint_retain = 2;
 

@@ -57,7 +57,6 @@ PlanningService::PlanningService(IncrementalPlanner planner,
                                  uint64_t base_sequence,
                                  RecoveryInfo recovery)
     : options_([&options] {
-        if (options.snapshot_every < 1) options.snapshot_every = 1;
         if (options.checkpoint_retain < 1) options.checkpoint_retain = 1;
         return options;
       }()),
@@ -368,8 +367,6 @@ void PlanningService::WriterLoop() {
         pending.request);
     FinishOne();
   }
-  // Queue closed and drained: leave a final snapshot of the end state.
-  PublishSnapshot();
 }
 
 ApplyOutcome PlanningService::ApplyOne(const AtomicOp& op) {
@@ -457,12 +454,7 @@ ApplyOutcome PlanningService::ApplyOne(const AtomicOp& op) {
       outcome.error = step.status().ToString();
       metrics_.RecordRejected(elapsed_ms);
     }
-    ++applied_since_snapshot_;
-    if (applied_since_snapshot_ >=
-            static_cast<uint64_t>(options_.snapshot_every) ||
-        queue_.depth() == 0) {
-      PublishSnapshot();
-    }
+    PublishSnapshot();
     ++ops_since_checkpoint_;
     if (options_.checkpoint_every > 0 && !options_.checkpoint_dir.empty() &&
         ops_since_checkpoint_ >=
@@ -628,7 +620,6 @@ void PlanningService::PublishSnapshot() {
     snapshot_ = std::move(fresh);
   }
   metrics_.RecordSnapshotPublished();
-  applied_since_snapshot_ = 0;
 }
 
 void PlanningService::FinishOne() {

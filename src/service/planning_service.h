@@ -38,11 +38,6 @@ struct ServiceOptions {
   /// use `Recover` to resume from one.
   std::string journal_path;
 
-  /// Publish a fresh snapshot every N applied operations. The writer also
-  /// publishes whenever its queue runs empty, so idle services are always
-  /// fresh; raising N batches the O(instance) snapshot copy under load.
-  int snapshot_every = 1;
-
   /// Transient journal-append failures (kUnavailable: disk hiccup, injected
   /// fault) are retried up to this many times before the op is rejected.
   /// Non-transient failures reject immediately. The journal restores its
@@ -240,7 +235,7 @@ class PlanningService {
   uint64_t retention_pin() const;
 
   /// Sequence of the last committed (journaled) op; ops beyond it are still
-  /// queued. Equals the snapshot version once the writer goes idle.
+  /// queued. The snapshot version reaches it once that op is applied.
   uint64_t committed_sequence() const {
     return committed_sequence_.load(std::memory_order_acquire);
   }
@@ -331,7 +326,6 @@ class PlanningService {
   IncrementalPlanner planner_;  // touched only by the writer thread
   std::optional<Journal> journal_;
   uint64_t sequence_;  // ops journaled so far (incl. recovered ones)
-  uint64_t applied_since_snapshot_ = 0;
   uint64_t ops_since_checkpoint_ = 0;  // writer thread only
   // Live shard-rebalance tracker (writer thread only once the writer has
   // started; constructed before it). nullopt when rebalance_shards <= 1.

@@ -15,11 +15,6 @@ std::shared_ptr<const ServiceSnapshot> MakeServiceSnapshot(
   auto snapshot = std::make_shared<ServiceSnapshot>();
   snapshot->version = version;
   snapshot->instance = std::make_shared<const Instance>(instance);
-  // The conflict graph is a lazily built cache behind a const accessor;
-  // many reader threads share this instance, so force the build here on
-  // the single writer thread (publishing the snapshot pointer gives the
-  // happens-before edge) instead of letting readers race to initialize it.
-  snapshot->instance->conflicts();
   snapshot->plan = std::make_shared<const Plan>(plan);
   snapshot->total_utility = plan.TotalUtility(instance);
   snapshot->total_assignments = plan.TotalAssignments();

@@ -29,8 +29,10 @@ struct ServiceSnapshot {
   int events_below_lower_bound = 0;
 };
 
-/// Deep-copies (instance, plan) into a fresh immutable snapshot and fills
-/// the derived aggregates.
+/// Copies (instance, plan) into a fresh immutable snapshot and fills the
+/// derived aggregates. The instance copy shares the utility matrix and the
+/// conflict graph with `instance`, so it costs O(users + events); the plan
+/// is copied whole.
 std::shared_ptr<const ServiceSnapshot> MakeServiceSnapshot(
     const Instance& instance, const Plan& plan, uint64_t version);
 

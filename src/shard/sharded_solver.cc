@@ -45,8 +45,8 @@ struct ShardMetrics {
 };
 
 /// Copies the (users, events) slice of `instance` into a standalone
-/// sub-instance. Only reads users()/events()/utility() — never the lazy
-/// conflict cache — so it is safe to run concurrently for disjoint shards.
+/// sub-instance. Only reads `instance`, so it is safe to run concurrently
+/// for disjoint shards.
 Instance BuildSubInstance(const Instance& instance,
                           const std::vector<UserId>& users,
                           const std::vector<EventId>& events) {
@@ -231,10 +231,6 @@ Result<GepcResult> SolveSharded(const Instance& instance,
                                      options.voronoi)
           : PartitionInstance(instance, filter, options.shards);
   const int k = partition.num_shards;
-  // Force the lazy conflict cache into existence before the parallel phase:
-  // the merge needs it, and building it on the main thread keeps the shard
-  // tasks strictly read-only on the shared instance.
-  instance.conflicts();
   if (stats != nullptr) {
     stats->shards = k;
     stats->boundary_users = static_cast<int>(partition.boundary_users.size());

@@ -199,6 +199,17 @@ TEST_F(DispatchTest, ErrorsAreResponsesNotCrashes) {
       Roundtrip(R"({"cmd":"apply","op":"eta:banana"})").at("ok").bool_value);
   EXPECT_FALSE(
       Roundtrip(R"({"cmd":"query_user","user":999})").at("ok").bool_value);
+  // Non-finite numbers and ids that overflow an int are rejected before
+  // the op reaches the queue, so nothing is applied or journaled.
+  for (const char* op : {"mu:0:0:nan", "budget:0:inf", "loc:0:nan:1",
+                         "eta:4294967296:1"}) {
+    EXPECT_FALSE(Roundtrip(std::string(R"({"cmd":"apply","op":")") + op +
+                           R"("})")
+                     .at("ok")
+                     .bool_value)
+        << op;
+  }
+  EXPECT_EQ(service_->snapshot()->version, 0u);
   // The service is still healthy afterwards.
   EXPECT_TRUE(Roundtrip(R"({"cmd":"stats"})").at("ok").bool_value);
 }

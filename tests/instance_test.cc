@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "data/io.h"
 #include "tests/paper_example.h"
 
 namespace gepc {
@@ -129,6 +137,64 @@ TEST(InstanceTest, CopyIsIndependent) {
   EXPECT_EQ(a.event(0).time.start, 13 * 60);
   EXPECT_TRUE(a.EventsConflict(0, 2));
   EXPECT_FALSE(b.EventsConflict(0, 2));
+
+  // A copy shares the utility matrix and the conflict graph with its
+  // original, so mutating the *original* must not reach the copy either.
+  const auto serialize = [](const Instance& instance) {
+    std::ostringstream out;
+    EXPECT_TRUE(SaveInstance(instance, out).ok());
+    for (int x = 0; x < instance.num_events(); ++x) {
+      for (int y = 0; y < instance.num_events(); ++y) {
+        out << instance.EventsConflict(x, y);
+      }
+    }
+    return out.str();
+  };
+  const std::string pristine = serialize(MakePaperInstance());
+  const std::vector<std::function<void(Instance*)>> mutators = {
+      [](Instance* i) { i->set_utility(1, 2, 0.05); },
+      [](Instance* i) { i->set_user_budget(2, 1.5); },
+      [](Instance* i) { ASSERT_TRUE(i->set_event_bounds(3, 0, 1).ok()); },
+      [](Instance* i) { ASSERT_TRUE(i->set_event_time(0, {1, 2}).ok()); },
+      [](Instance* i) { i->set_event_location(1, {9.0, 9.0}); },
+      [](Instance* i) {
+        Event event;
+        event.time = {13 * 60, 14 * 60};
+        i->AddEvent(event, std::vector<double>(
+                               static_cast<size_t>(i->num_users()), 0.3));
+      },
+  };
+  for (size_t k = 0; k < mutators.size(); ++k) {
+    Instance original = MakePaperInstance();
+    const Instance copy = original;
+    mutators[k](&original);
+    EXPECT_NE(serialize(original), pristine) << "mutator " << k;
+    EXPECT_EQ(serialize(copy), pristine) << "mutator " << k;
+  }
+}
+
+// Once another thread has read through a copy and dropped it, set_utility
+// writes in place. The flag is deliberately relaxed, so only set_utility's
+// own uniqueness check can order that write after the reader's last read;
+// TSan reports a race if it does not.
+TEST(InstanceTest, WriteAfterCopyDroppedOnAnotherThread) {
+  for (int round = 0; round < 20; ++round) {
+    Instance original = MakePaperInstance();
+    std::atomic<bool> dropped{false};
+    double seen = 0.0;
+    std::thread reader([copy = original, &dropped, &seen]() mutable {
+      seen = copy.utility(0, 0);
+      copy = Instance();
+      dropped.store(true, std::memory_order_relaxed);
+    });
+    while (!dropped.load(std::memory_order_relaxed)) {
+      std::this_thread::yield();
+    }
+    original.set_utility(0, 0, 0.25);
+    reader.join();
+    EXPECT_DOUBLE_EQ(seen, 0.7);
+    EXPECT_DOUBLE_EQ(original.utility(0, 0), 0.25);
+  }
 }
 
 }  // namespace

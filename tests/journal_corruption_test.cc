@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -222,6 +223,34 @@ TEST_F(JournalCorruptionTest, OpenTruncatesTornTailThenExtendsCleanly) {
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(scan->ops.size(), 8u);
   EXPECT_EQ(scan->torn_bytes, 0);
+}
+
+// The GOPS1 reader rejects nan and inf, so the writer must never emit them:
+// such an append fails and leaves the file byte-identical.
+TEST_F(JournalCorruptionTest, NonFiniteOpIsRefusedAndFileUntouched) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Event fresh = MakePaperInstance().event(0);
+  fresh.fee = inf;
+  const std::vector<AtomicOp> bad = {
+      AtomicOp::UtilityChange(0, 0, nan),
+      AtomicOp::BudgetChange(0, inf),
+      AtomicOp::LocationChange(0, {nan, 1.0}),
+      AtomicOp::NewEvent(fresh, std::vector<double>(5, 0.5)),
+      AtomicOp::NewEvent(MakePaperInstance().event(0),
+                         std::vector<double>{0.5, -inf, 0.5, 0.5, 0.5}),
+  };
+  auto journal = Journal::Open(journal_path_);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  for (const AtomicOp& op : bad) {
+    EXPECT_EQ(journal->Append(op).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(ReadBytes(journal_path_), full_);
+  }
+  EXPECT_EQ(journal->bytes_written(), static_cast<int64_t>(full_.size()));
+  auto replay = ReplayJournal(MakePaperInstance(), MakePaperPlan(),
+                              journal_path_);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  EXPECT_EQ(replay->ops_applied + replay->ops_rejected, 8u);
 }
 
 }  // namespace

@@ -427,7 +427,7 @@ TEST_F(ServeTest, BadFlagsFail) {
             64);
   EXPECT_EQ(WEXITSTATUS(std::system(
                 (Serve() + " --in " + instance_path_ +
-                 " --snapshot-every 0x < /dev/null > /dev/null 2>&1")
+                 " --checkpoint-every 0x < /dev/null > /dev/null 2>&1")
                     .c_str())),
             64);
 }

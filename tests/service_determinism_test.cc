@@ -16,6 +16,7 @@
 #include "gepc/solver.h"
 #include "service/journal.h"
 #include "service/planning_service.h"
+#include "service/torture.h"
 
 namespace gepc {
 namespace {
@@ -119,6 +120,56 @@ TEST(ServiceDeterminismTest, ThousandOpJournalReplaysToIdenticalState) {
   EXPECT_TRUE(*(*recovered)->snapshot()->plan == *live->plan);
   EXPECT_DOUBLE_EQ((*recovered)->snapshot()->total_utility,
                    live->total_utility);
+}
+
+// Snapshots share the utility matrix and the conflict graph with the
+// writer's live instance. Hold the snapshot of every version of the 1k-op
+// stream: no later write may reach any of them.
+TEST(ServiceDeterminismTest, HeldSnapshotsNeverChange) {
+  GeneratorConfig config;
+  config.num_users = 60;
+  config.num_events = 12;
+  config.mean_xi = 2;
+  config.mean_eta = 8;
+  config.seed = 20260806;
+  auto instance = GenerateInstance(config);
+  ASSERT_TRUE(instance.ok()) << instance.status();
+  auto solved = SolveGepc(*instance, GepcOptions{});
+  ASSERT_TRUE(solved.ok()) << solved.status();
+  const Instance base_instance = *instance;
+  auto service =
+      PlanningService::Create(*std::move(instance), std::move(solved->plan));
+  ASSERT_TRUE(service.ok()) << service.status();
+
+  const auto serialize = [](const ServiceSnapshot& snapshot) {
+    auto state = SerializeServiceState(*snapshot.instance, *snapshot.plan,
+                                       snapshot.version);
+    EXPECT_TRUE(state.ok()) << state.status();
+    std::string bytes = state.ok() ? *state : std::string();
+    const Instance& held = *snapshot.instance;
+    for (int a = 0; a < held.num_events(); ++a) {
+      for (int b = 0; b < held.num_events(); ++b) {
+        bytes += held.EventsConflict(a, b) ? '1' : '0';
+      }
+    }
+    return bytes;
+  };
+  std::vector<std::shared_ptr<const ServiceSnapshot>> held;
+  std::vector<std::string> taken;
+  held.push_back((*service)->snapshot());
+  taken.push_back(serialize(*held.back()));
+  Rng rng(7);
+  for (int i = 0; i < 1000; ++i) {
+    (*service)->Apply(RandomOp(base_instance, &rng));
+    held.push_back((*service)->snapshot());
+    ASSERT_EQ(held.back()->version, static_cast<uint64_t>(i + 1));
+    taken.push_back(serialize(*held.back()));
+  }
+  (*service)->Shutdown();
+  for (size_t v = 0; v < held.size(); ++v) {
+    // ASSERT_TRUE, not ASSERT_EQ: the states are too long to print.
+    ASSERT_TRUE(serialize(*held[v]) == taken[v]) << "snapshot version " << v;
+  }
 }
 
 }  // namespace

@@ -219,21 +219,6 @@ TEST(PlanningServiceTest, DrainWaitsForSubmittedOps) {
   }
 }
 
-TEST(PlanningServiceTest, SnapshotEveryBatchesPublishes) {
-  ServiceOptions options;
-  options.snapshot_every = 1000;  // only the queue-idle publish fires
-  auto service = PlanningService::Create(MakePaperInstance(), MakePaperPlan(),
-                                         options);
-  ASSERT_TRUE(service.ok());
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE((*service)->Apply(AtomicOp::BudgetChange(0, 18.0)).applied);
-  }
-  (*service)->Drain();
-  // Synchronous Apply leaves the queue empty before each next submit, so
-  // the idle-publish keeps the snapshot fresh even with a huge batch size.
-  EXPECT_EQ((*service)->snapshot()->version, 20u);
-}
-
 TEST(PlanningServiceTest, StatsTrackLatencyAndImpact) {
   auto service = PlanningService::Create(MakePaperInstance(), MakePaperPlan());
   ASSERT_TRUE(service.ok());

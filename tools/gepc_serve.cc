@@ -4,7 +4,7 @@
 //              [--recover] [--algorithm greedy|gap|regret]
 //              [--threads N] [--shards K]
 //              [--rebalance-every N] [--rebalance-skew X]
-//              [--queue N] [--snapshot-every N] [--faults SPEC]
+//              [--queue N] [--faults SPEC]
 //              [--checkpoint-dir DIR] [--checkpoint-every N]
 //              [--checkpoint-retain N]
 //              [--metrics FILE] [--trace FILE]
@@ -93,7 +93,6 @@ struct Args {
   std::string trace_file;
   bool recover = false;
   int queue_capacity = 1024;
-  int snapshot_every = 1;
   /// Durable checkpointing (src/ckpt): directory for GCKP1 files, the
   /// auto-trigger cadence (0 = on demand only), and how many generations
   /// survive each publication.
@@ -139,8 +138,7 @@ int Usage() {
       "                  [--algorithm greedy|gap|regret]\n"
       "                  [--threads N] [--shards K]\n"
       "                  [--rebalance-every N] [--rebalance-skew X]\n"
-      "                  [--queue N] [--snapshot-every N]\n"
-      "                  [--faults SPEC]\n"
+      "                  [--queue N] [--faults SPEC]\n"
       "                  [--checkpoint-dir DIR] [--checkpoint-every N]\n"
       "                  [--checkpoint-retain N]\n"
       "                  [--metrics FILE] [--trace FILE]\n"
@@ -177,7 +175,6 @@ Status ParseArgs(int argc, char** argv, Args* args) {
       Flag::Double("rebalance-skew", &args->rebalance_skew, 0.0),
       Flag::Int("queue", &args->queue_capacity, 1,
                 std::numeric_limits<int>::max()),
-      Flag::Int("snapshot-every", &args->snapshot_every, 1, kMax),
       Flag::String("faults", &args->faults),
       Flag::String("checkpoint-dir", &args->checkpoint_dir),
       Flag::Int("checkpoint-every", &args->checkpoint_every, 1, kMax),
@@ -338,7 +335,6 @@ int Main(int argc, char** argv) {
     follow_options.journal_path = args.journal;
     follow_options.checkpoint_dir = args.checkpoint_dir;
     follow_options.queue_capacity = static_cast<size_t>(args.queue_capacity);
-    follow_options.snapshot_every = args.snapshot_every;
     follow_options.checkpoint_every = args.checkpoint_every;
     follow_options.checkpoint_retain = args.checkpoint_retain;
     follow_options.heartbeat_timeout_ms = args.repl_timeout_ms;
@@ -369,7 +365,6 @@ int Main(int argc, char** argv) {
     ServiceOptions options;
     options.journal_path = args.journal;
     options.queue_capacity = static_cast<size_t>(args.queue_capacity);
-    options.snapshot_every = args.snapshot_every;
     options.checkpoint_dir = args.checkpoint_dir;
     options.checkpoint_every = args.checkpoint_every;
     options.checkpoint_retain = args.checkpoint_retain;
