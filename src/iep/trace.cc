@@ -7,6 +7,8 @@
 #include <iomanip>
 #include <sstream>
 
+#include "iep/op_spec.h"
+
 namespace gepc {
 
 namespace {
@@ -93,51 +95,9 @@ Status SaveOpsToFile(const std::vector<AtomicOp>& ops,
 
 Result<AtomicOp> ParseOpRow(const std::string& line) {
   std::istringstream row(line);
-  std::string kind;
-  row >> kind;
-  if (kind == "eta" || kind == "xi") {
-    int event = -1;
-    int value = 0;
-    row >> event >> value;
-    if (row.fail()) return Status::InvalidArgument("bad " + kind + " row");
-    return kind == "eta" ? AtomicOp::UpperBoundChange(event, value)
-                         : AtomicOp::LowerBoundChange(event, value);
-  } else if (kind == "time") {
-    int event = -1;
-    Interval time;
-    row >> event >> time.start >> time.end;
-    if (row.fail()) return Status::InvalidArgument("bad time row");
-    return AtomicOp::TimeChange(event, time);
-  } else if (kind == "loc") {
-    int event = -1;
-    Point location;
-    row >> event >> location.x >> location.y;
-    if (row.fail()) return Status::InvalidArgument("bad loc row");
-    return AtomicOp::LocationChange(event, location);
-  } else if (kind == "budget") {
-    int user = -1;
-    double budget = 0.0;
-    row >> user >> budget;
-    if (row.fail()) return Status::InvalidArgument("bad budget row");
-    return AtomicOp::BudgetChange(user, budget);
-  } else if (kind == "mu") {
-    int user = -1;
-    int event = -1;
-    double mu = 0.0;
-    row >> user >> event >> mu;
-    if (row.fail()) return Status::InvalidArgument("bad mu row");
-    return AtomicOp::UtilityChange(user, event, mu);
-  } else if (kind == "new") {
-    Event fresh;
-    row >> fresh.location.x >> fresh.location.y >> fresh.lower_bound >>
-        fresh.upper_bound >> fresh.time.start >> fresh.time.end >> fresh.fee;
-    if (row.fail()) return Status::InvalidArgument("bad new-event row");
-    std::vector<double> utilities;
-    double mu = 0.0;
-    while (row >> mu) utilities.push_back(mu);
-    return AtomicOp::NewEvent(fresh, std::move(utilities));
-  }
-  return Status::InvalidArgument("unknown op kind '" + kind + "'");
+  std::vector<std::string> fields;
+  for (std::string field; row >> field;) fields.push_back(std::move(field));
+  return ParseOpFields(fields, line);
 }
 
 Result<std::vector<AtomicOp>> LoadOps(std::istream& in) {

@@ -39,8 +39,10 @@ Result<std::vector<AtomicOp>> LoadOps(std::istream& in);
 Result<std::vector<AtomicOp>> LoadOpsFromFile(const std::string& path);
 
 /// Parses a single op row (one line, no header, no trailing newline) —
-/// the primitive LoadOps and the journal's crash-tolerant scanner share.
-/// Returns kInvalidArgument on anything that is not a well-formed row.
+/// the primitive LoadOps, the journal's crash-tolerant scanner and the
+/// replication tail share. Fields are whitespace-separated and follow
+/// ParseOpFields' strict grammar (iep/op_spec.h); returns kInvalidArgument
+/// on anything that is not a well-formed row.
 Result<AtomicOp> ParseOpRow(const std::string& line);
 
 }  // namespace gepc

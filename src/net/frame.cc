@@ -32,12 +32,12 @@ inline uint32_t GetU32(const char* p) {
          (static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24);
 }
 
-}  // namespace
-
 bool IsValidFrameType(uint8_t type) {
   return type >= static_cast<uint8_t>(FrameType::kHello) &&
          type <= static_cast<uint8_t>(FrameType::kReplError);
 }
+
+}  // namespace
 
 uint16_t FrameChecksum(std::string_view payload) {
   uint64_t h = 1469598103934665603ULL;

@@ -55,9 +55,6 @@ enum class FrameType : uint8_t {
                        ///< dead, the follower must reconnect and resync
 };
 
-/// True iff `type` is one of the FrameType enumerators.
-bool IsValidFrameType(uint8_t type);
-
 enum FrameFlags : uint8_t {
   kFlagCompressed = 0x01,
 };
@@ -92,9 +89,6 @@ class FrameDecoder {
   void Feed(std::string_view data) { Feed(data.data(), data.size()); }
 
   Next Pop(Frame* out, Status* error);
-
-  /// Bytes buffered but not yet consumed by Pop.
-  size_t buffered_bytes() const { return buffer_.size() - consumed_; }
 
  private:
   std::string buffer_;

@@ -1,7 +1,6 @@
 #include "net/server.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -28,11 +27,6 @@ constexpr size_t kReadChunk = 64 * 1024;
 
 Status Errno(const std::string& what) {
   return Status::Internal(what + ": " + std::strerror(errno));
-}
-
-bool SetNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
 std::string StatusPayload(const std::string& code, const std::string& error) {

@@ -1,9 +1,7 @@
 #include "repl/failover.h"
 
-#include <chrono>
 #include <filesystem>
 #include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -32,17 +30,6 @@ Status FreshDir(const std::string& dir) {
     return Status::Internal("cannot create " + dir + ": " + ec.message());
   }
   return Status::OK();
-}
-
-/// Polls until the follower has applied exactly `want` rows.
-bool WaitForApplied(const Follower& follower, uint64_t want, int timeout_ms) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (follower.stats().applied >= want) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return follower.stats().applied >= want;
 }
 
 }  // namespace
@@ -166,7 +153,7 @@ Result<FailoverTortureReport> RunFailoverTorture(
                                 std::to_string(outcome.sequence));
       }
     }
-    if (!WaitForApplied(*follower, k, /*timeout_ms=*/15000)) {
+    if (!follower->WaitForApplied(k, /*timeout_ms=*/15000)) {
       fail("offset " + std::to_string(k) + ": follower stuck at " +
            std::to_string(follower->stats().applied) + "/" +
            std::to_string(k));

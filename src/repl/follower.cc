@@ -1,17 +1,8 @@
 #include "repl/follower.h"
 
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <filesystem>
 #include <utility>
 
 #include "ckpt/checkpoint.h"
@@ -29,12 +20,6 @@ int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-Status EnsureDir(const std::string& dir) {
-  if (dir.empty()) return Status::InvalidArgument("empty directory");
-  if (mkdir(dir.c_str(), 0777) == 0 || errno == EEXIST) return Status::OK();
-  return Status::Internal("mkdir " + dir + ": " + std::strerror(errno));
 }
 
 /// Hard cap on a shipped checkpoint: a desynchronized or hostile primary
@@ -78,7 +63,12 @@ Result<std::unique_ptr<Follower>> Follower::Start(FollowerOptions options,
   if (options.primary_port <= 0) {
     return Status::InvalidArgument("follower needs the primary's port");
   }
-  GEPC_RETURN_IF_ERROR(EnsureDir(options.checkpoint_dir));
+  std::error_code ec;
+  std::filesystem::create_directories(options.checkpoint_dir, ec);
+  if (ec) {
+    return Status::Internal("cannot create " + options.checkpoint_dir + ": " +
+                            ec.message());
+  }
   role->primary =
       options.primary_host + ":" + std::to_string(options.primary_port);
   role->follower.store(true, std::memory_order_release);
@@ -112,12 +102,9 @@ Follower::~Follower() {
 
 void Follower::Stop() {
   stop_.store(true, std::memory_order_release);
-  if (fd_ >= 0) shutdown(fd_, SHUT_RDWR);  // wake the tail thread's poll
+  client_.Interrupt();  // wakes the tail thread's receive
   if (tail_thread_.joinable()) tail_thread_.join();
-  if (fd_ >= 0) {
-    close(fd_);
-    fd_ = -1;
-  }
+  Disconnect();
 }
 
 FollowerStats Follower::stats() const {
@@ -133,108 +120,25 @@ FollowerStats Follower::stats() const {
   return stats;
 }
 
-// ---------------------------------------------------------------------------
-// Socket plumbing (tail thread, plus the bootstrap call from Start)
-// ---------------------------------------------------------------------------
-
-Status Follower::Connect() {
-  Disconnect();
-  addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* found = nullptr;
-  const std::string port = std::to_string(options_.primary_port);
-  if (getaddrinfo(options_.primary_host.c_str(), port.c_str(), &hints,
-                  &found) != 0 ||
-      found == nullptr) {
-    return Status::Unavailable("cannot resolve " + options_.primary_host);
+bool Follower::WaitForApplied(uint64_t want, int timeout_ms) const {
+  const int64_t deadline = NowMs() + timeout_ms;
+  while (applied_.load(std::memory_order_acquire) < want) {
+    if (NowMs() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  int fd = socket(found->ai_family, found->ai_socktype, found->ai_protocol);
-  if (fd < 0) {
-    freeaddrinfo(found);
-    return Status::Unavailable("socket: " + std::string(std::strerror(errno)));
-  }
-  const int rc = connect(fd, found->ai_addr, found->ai_addrlen);
-  freeaddrinfo(found);
-  if (rc != 0) {
-    close(fd);
-    return Status::Unavailable("connect " + role_->primary + ": " +
-                               std::strerror(errno));
-  }
-  const int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  fd_ = fd;
-  decoder_ = net::FrameDecoder();
-  connected_.store(true, std::memory_order_release);
-  return Status::OK();
+  return true;
 }
 
 void Follower::Disconnect() {
-  if (fd_ >= 0) {
-    close(fd_);
-    fd_ = -1;
-  }
+  client_.Close();
   connected_.store(false, std::memory_order_release);
-  decoder_ = net::FrameDecoder();
-}
-
-Status Follower::SendFrame(net::FrameType type, const std::string& payload) {
-  const std::string bytes = net::EncodeFrame(type, payload);
-  size_t offset = 0;
-  while (offset < bytes.size()) {
-    const ssize_t n = send(fd_, bytes.data() + offset, bytes.size() - offset,
-                           MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return Status::Unavailable("send: " + std::string(std::strerror(errno)));
-    }
-    offset += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-Status Follower::RecvFrame(net::Frame* out, int timeout_ms) {
-  const int64_t deadline = NowMs() + std::max(1, timeout_ms);
-  char buffer[65536];
-  Status error;
-  for (;;) {
-    switch (decoder_.Pop(out, &error)) {
-      case net::FrameDecoder::Next::kFrame:
-        return Status::OK();
-      case net::FrameDecoder::Next::kError:
-        return error;
-      case net::FrameDecoder::Next::kNeedMore:
-        break;
-    }
-    const int64_t remaining = deadline - NowMs();
-    if (remaining <= 0) return Status::Unavailable("frame read timed out");
-    pollfd pfd{fd_, POLLIN, 0};
-    const int ready = poll(&pfd, 1, static_cast<int>(remaining));
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return Status::Unavailable("poll: " + std::string(std::strerror(errno)));
-    }
-    if (ready == 0) return Status::Unavailable("frame read timed out");
-    const ssize_t n = read(fd_, buffer, sizeof(buffer));
-    if (n == 0) return Status::NotFound("primary closed the connection");
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::NotFound("read: " + std::string(std::strerror(errno)));
-    }
-    decoder_.Feed(buffer, static_cast<size_t>(n));
-  }
 }
 
 // ---------------------------------------------------------------------------
 // Bootstrap
 // ---------------------------------------------------------------------------
 
-bool Follower::TryLocalRecovery() {
-  // Local state is usable iff a checkpoint exists: the journal alone is a
-  // delta stream with nothing to apply it to. (A fresh follower directory
-  // takes the need_base path and gets its base shipped.)
-  auto listed = ListCheckpoints(options_.checkpoint_dir);
-  if (!listed.ok() || listed->empty()) return false;
+Status Follower::RecoverLocalService() {
   ServiceOptions service_options;
   service_options.journal_path = options_.journal_path;
   service_options.checkpoint_dir = options_.checkpoint_dir;
@@ -243,15 +147,10 @@ bool Follower::TryLocalRecovery() {
   service_options.checkpoint_retain = options_.checkpoint_retain;
   auto recovered =
       PlanningService::Recover(Instance{}, Plan{}, std::move(service_options));
-  if (!recovered.ok()) {
-    GEPC_LOG(Warning) << "repl: local recovery failed ("
-                      << recovered.status().message()
-                      << "); bootstrapping from the primary instead";
-    return false;
-  }
+  GEPC_RETURN_IF_ERROR(recovered.status());
   service_ = std::move(*recovered);
   applied_.store(service_->committed_sequence(), std::memory_order_release);
-  return true;
+  return Status::OK();
 }
 
 Status Follower::ReceiveCheckpoint(uint64_t version, uint64_t bytes) {
@@ -262,8 +161,7 @@ Status Follower::ReceiveCheckpoint(uint64_t version, uint64_t bytes) {
   blob.reserve(bytes);
   while (blob.size() < bytes) {
     net::Frame frame;
-    GEPC_RETURN_IF_ERROR(
-        RecvFrame(&frame, std::max(1, options_.heartbeat_timeout_ms)));
+    GEPC_RETURN_IF_ERROR(client_.Recv(&frame, options_.heartbeat_timeout_ms));
     if (frame.type != net::FrameType::kReplCkptChunk) {
       return Status::InvalidArgument("expected checkpoint chunk, got frame " +
                                      std::to_string(int(frame.type)));
@@ -286,20 +184,8 @@ Status Follower::ReceiveCheckpoint(uint64_t version, uint64_t bytes) {
   auto path = WriteCheckpoint(options_.checkpoint_dir, data->instance,
                               data->plan, version);
   GEPC_RETURN_IF_ERROR(path.status());
-  ServiceOptions service_options;
-  service_options.journal_path = options_.journal_path;
-  service_options.checkpoint_dir = options_.checkpoint_dir;
-  service_options.queue_capacity = options_.queue_capacity;
-  service_options.checkpoint_every = options_.checkpoint_every;
-  service_options.checkpoint_retain = options_.checkpoint_retain;
-  auto recovered =
-      PlanningService::Recover(Instance{}, Plan{}, std::move(service_options));
-  GEPC_RETURN_IF_ERROR(recovered.status());
-  service_ = std::move(*recovered);
-  applied_.store(service_->committed_sequence(), std::memory_order_release);
-  primary_seen_.store(
-      std::max(primary_seen_.load(std::memory_order_acquire), version),
-      std::memory_order_release);
+  GEPC_RETURN_IF_ERROR(RecoverLocalService());
+  NotePrimarySeen(version);
   checkpoints_received_.fetch_add(1, std::memory_order_relaxed);
   checkpoints_received_total_->Increment();
   GEPC_LOG(Info) << "repl: bootstrapped from shipped checkpoint at version "
@@ -308,54 +194,42 @@ Status Follower::ReceiveCheckpoint(uint64_t version, uint64_t bytes) {
 }
 
 Status Follower::BootstrapOnce() {
-  if (service_ == nullptr) TryLocalRecovery();
-  GEPC_RETURN_IF_ERROR(Connect());
-  GEPC_RETURN_IF_ERROR(SendFrame(net::FrameType::kHello, "{}"));
-  net::Frame frame;
-  GEPC_RETURN_IF_ERROR(
-      RecvFrame(&frame, std::max(1, options_.heartbeat_timeout_ms)));
-  if (frame.type != net::FrameType::kWelcome) {
-    return Status::Unavailable("primary did not welcome us");
+  if (service_ == nullptr) {
+    // Local state is usable iff a checkpoint exists: the journal alone is a
+    // delta stream with nothing to apply it to. (A fresh follower directory
+    // takes the need_base path and gets its base shipped.)
+    auto listed = ListCheckpoints(options_.checkpoint_dir);
+    if (listed.ok() && !listed->empty()) {
+      const Status local = RecoverLocalService();
+      if (!local.ok()) {
+        GEPC_LOG(Warning) << "repl: local recovery failed (" << local.message()
+                          << "); bootstrapping from the primary instead";
+      }
+    }
   }
+  GEPC_RETURN_IF_ERROR(
+      client_.Connect(options_.primary_host, options_.primary_port));
+  connected_.store(true, std::memory_order_release);
+  GEPC_RETURN_IF_ERROR(
+      client_.Handshake(options_.heartbeat_timeout_ms).status());
   SyncRequest request;
   request.have = applied_.load(std::memory_order_acquire);
   request.need_base = service_ == nullptr;
   GEPC_RETURN_IF_ERROR(
-      SendFrame(net::FrameType::kReplSync, EncodeSyncRequest(request)));
+      client_.Send(net::FrameType::kReplSync, EncodeSyncRequest(request)));
   // Wait for the primary's first replication frame: it tells us whether
   // this sync bridges from our journal position (rows/heartbeat) or ships a
   // base checkpoint first. Everything after it belongs to the tail loop.
-  GEPC_RETURN_IF_ERROR(
-      RecvFrame(&frame, std::max(1, options_.heartbeat_timeout_ms)));
-  switch (frame.type) {
-    case net::FrameType::kReplCkptBegin: {
-      auto begin = ParseCkptBegin(frame.payload);
-      GEPC_RETURN_IF_ERROR(begin.status());
-      return ReceiveCheckpoint(begin->version, begin->bytes);
-    }
-    case net::FrameType::kReplRow:
-      if (service_ == nullptr) {
-        return Status::InvalidArgument("row before base state");
-      }
-      return ApplyRow(frame.payload);
-    case net::FrameType::kReplHeartbeat: {
-      auto version = ParseHeartbeat(frame.payload);
-      GEPC_RETURN_IF_ERROR(version.status());
-      if (service_ == nullptr) {
-        return Status::InvalidArgument("heartbeat before base state");
-      }
-      primary_seen_.store(
-          std::max(primary_seen_.load(std::memory_order_acquire), *version),
-          std::memory_order_release);
-      UpdateLagGauges();
-      return Status::OK();
-    }
-    case net::FrameType::kReplError:
-      return Status::Unavailable("primary rejected sync: " +
-                                 ParseReplError(frame.payload));
-    default:
-      return Status::InvalidArgument("unexpected frame during bootstrap");
+  net::Frame frame;
+  GEPC_RETURN_IF_ERROR(client_.Recv(&frame, options_.heartbeat_timeout_ms));
+  if (frame.type == net::FrameType::kReplCkptBegin) {
+    GEPC_ASSIGN_OR_RETURN(const CkptBegin begin, ParseCkptBegin(frame.payload));
+    return ReceiveCheckpoint(begin.version, begin.bytes);
   }
+  if (service_ == nullptr) {
+    return Status::InvalidArgument("primary sent a tail before base state");
+  }
+  return HandleTailFrame(frame);
 }
 
 // ---------------------------------------------------------------------------
@@ -386,9 +260,7 @@ Status Follower::ApplyRow(const std::string& payload) {
     return Status::Internal("sequence divergence");
   }
   applied_.store(row->sequence, std::memory_order_release);
-  primary_seen_.store(
-      std::max(primary_seen_.load(std::memory_order_acquire), row->sequence),
-      std::memory_order_release);
+  NotePrimarySeen(row->sequence);
   rows_applied_.fetch_add(1, std::memory_order_relaxed);
   rows_applied_total_->Increment();
   if (obs::Enabled()) {
@@ -398,6 +270,13 @@ Status Follower::ApplyRow(const std::string& payload) {
   }
   UpdateLagGauges();
   return Status::OK();
+}
+
+void Follower::NotePrimarySeen(uint64_t sequence) {
+  // Only the tail thread (or Start's caller before it) writes this.
+  if (sequence > primary_seen_.load(std::memory_order_acquire)) {
+    primary_seen_.store(sequence, std::memory_order_release);
+  }
 }
 
 void Follower::UpdateLagGauges() {
@@ -425,7 +304,7 @@ void Follower::TailLoop() {
   int64_t disconnected_at = 0;  // 0 = currently connected
   while (!stop_.load(std::memory_order_acquire) &&
          !promoted_.load(std::memory_order_acquire)) {
-    if (fd_ < 0) {
+    if (!client_.is_open()) {
       if (disconnected_at == 0) disconnected_at = NowMs();
       if (options_.promote_after_ms > 0 &&
           NowMs() - disconnected_at >= options_.promote_after_ms) {
@@ -451,61 +330,51 @@ void Follower::TailLoop() {
       disconnected_at = 0;
     }
     net::Frame frame;
-    Status status =
-        RecvFrame(&frame, std::max(1, options_.heartbeat_timeout_ms));
+    Status status = client_.Recv(&frame, options_.heartbeat_timeout_ms);
     if (stop_.load(std::memory_order_acquire)) return;
+    if (status.ok()) status = HandleTailFrame(frame);
     if (!status.ok()) {
-      GEPC_LOG(Warning) << "repl: lost primary " << role_->primary << ": "
-                        << status.message();
+      GEPC_LOG(Warning) << "repl: tail from " << role_->primary << " broke ("
+                        << status.message() << "); resyncing";
       Disconnect();
-      continue;
     }
-    switch (frame.type) {
-      case net::FrameType::kReplRow: {
-        Status applied = ApplyRow(frame.payload);
-        if (!applied.ok()) {
-          GEPC_LOG(Warning) << "repl: tail apply failed ("
-                            << applied.message() << "); resyncing";
-          Disconnect();
-        }
-        break;
-      }
-      case net::FrameType::kReplHeartbeat: {
-        auto version = ParseHeartbeat(frame.payload);
-        if (version.ok()) {
-          primary_seen_.store(std::max(primary_seen_.load(
-                                           std::memory_order_acquire),
-                                       *version),
-                              std::memory_order_release);
-          UpdateLagGauges();
-        }
-        break;
-      }
-      case net::FrameType::kReplError:
-        GEPC_LOG(Warning) << "repl: primary declared the sync dead: "
-                          << ParseReplError(frame.payload);
-        Disconnect();
-        break;
-      case net::FrameType::kReplCkptBegin: {
-        // A mid-tail checkpoint offer means the primary compacted past our
-        // position while we were disconnected AND our live service cannot
-        // be hot-swapped (front ends hold its pointer). Drain the stream
-        // and resync — retention pinning makes this path unreachable in
-        // healthy operation; persistent arrival means operator restart.
-        auto begin = ParseCkptBegin(frame.payload);
-        GEPC_LOG(Error)
-            << "repl: primary offers a checkpoint mid-tail (version "
-            << (begin.ok() ? begin->version : 0)
-            << "); cannot swap a live service — restart this follower to "
-               "re-bootstrap";
-        Disconnect();
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            std::max(1, options_.reconnect_backoff_max_ms)));
-        break;
-      }
-      default:
-        break;  // Status/Response frames on this connection are ignorable
+  }
+}
+
+Status Follower::HandleTailFrame(const net::Frame& frame) {
+  switch (frame.type) {
+    case net::FrameType::kReplRow:
+      return ApplyRow(frame.payload);
+    case net::FrameType::kReplHeartbeat: {
+      GEPC_ASSIGN_OR_RETURN(const uint64_t version,
+                            ParseHeartbeat(frame.payload));
+      NotePrimarySeen(version);
+      UpdateLagGauges();
+      return Status::OK();
     }
+    case net::FrameType::kReplError:
+      return Status::Unavailable("primary declared the sync dead: " +
+                                 ParseReplError(frame.payload));
+    case net::FrameType::kReplCkptBegin: {
+      // A mid-tail checkpoint offer means the primary compacted past our
+      // position while we were disconnected AND our live service cannot
+      // be hot-swapped (front ends hold its pointer). Drain the stream
+      // and resync — retention pinning makes this path unreachable in
+      // healthy operation; persistent arrival means operator restart.
+      auto begin = ParseCkptBegin(frame.payload);
+      GEPC_LOG(Error)
+          << "repl: primary offers a checkpoint mid-tail (version "
+          << (begin.ok() ? begin->version : 0)
+          << "); cannot swap a live service — restart this follower to "
+             "re-bootstrap";
+      Disconnect();
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          std::max(1, options_.reconnect_backoff_max_ms)));
+      return Status::FailedPrecondition("checkpoint offered mid-tail");
+    }
+    default:
+      return Status::InvalidArgument("unexpected frame type " +
+                                     std::to_string(int(frame.type)));
   }
 }
 
@@ -521,7 +390,7 @@ Status Follower::PromoteNow() {
   }
   GEPC_INJECT_FAULT("repl.promote");
   promoted_.store(true, std::memory_order_release);
-  if (fd_ >= 0) shutdown(fd_, SHUT_RDWR);  // wake the tail thread to exit
+  client_.Interrupt();  // wakes the tail thread to exit
   // Seal the replayed state: a checkpoint at the applied version proves the
   // state durable and rebases (compacts) the journal there, so the promoted
   // primary's journal starts at its own version.

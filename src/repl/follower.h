@@ -10,7 +10,7 @@
 #include <thread>
 
 #include "common/result.h"
-#include "net/frame.h"
+#include "net/client.h"
 #include "obs/metrics.h"
 #include "service/dispatch.h"
 #include "service/planning_service.h"
@@ -98,6 +98,9 @@ class Follower {
 
   FollowerStats stats() const;
 
+  /// Polls until `applied` reaches `want`; false once `timeout_ms` passes.
+  bool WaitForApplied(uint64_t want, int timeout_ms) const;
+
   /// Stops tailing and shuts the local service down. Idempotent; the
   /// destructor calls it.
   void Stop();
@@ -106,34 +109,34 @@ class Follower {
   Follower(FollowerOptions options, ServeRole* role);
 
   /// One connect + handshake + sync + bootstrap pass. On success the local
-  /// service is live and `fd_` carries the row tail.
+  /// service is live and `client_` carries the row tail.
   Status BootstrapOnce();
-  /// Brings the local service up from whatever is on local disk; returns
-  /// false when there is nothing usable (need_base bootstrap required).
-  bool TryLocalRecovery();
+  /// Boots the local service through standard crash recovery from what is
+  /// on local disk (checkpoint directory + journal). Both boot paths, local
+  /// state and a shipped checkpoint, end here.
+  Status RecoverLocalService();
   /// Receives a shipped checkpoint (begin frame already parsed), publishes
   /// it locally, and (re)starts the service from it.
   Status ReceiveCheckpoint(uint64_t version, uint64_t bytes);
   /// Applies one tailed row; any defect tears the connection for a resync.
   Status ApplyRow(const std::string& payload);
+  /// Handles one frame of an established sync (row, heartbeat, error); a
+  /// non-OK status means the connection must be rebuilt.
+  Status HandleTailFrame(const net::Frame& frame);
+  /// Raises primary_seen_ to `sequence` if it is newer.
+  void NotePrimarySeen(uint64_t sequence);
 
   void TailLoop();
   void Disconnect();
   void UpdateLagGauges();
 
-  /// Blocking frame IO on fd_ (tail thread only).
-  Status Connect();
-  Status SendFrame(net::FrameType type, const std::string& payload);
-  /// Waits up to `timeout_ms` for one frame; kUnavailable on timeout,
-  /// kNotFound on EOF/reset.
-  Status RecvFrame(net::Frame* out, int timeout_ms);
-
   const FollowerOptions options_;
   ServeRole* const role_;
 
   std::unique_ptr<PlanningService> service_;
-  int fd_ = -1;
-  net::FrameDecoder decoder_;
+  /// Owned by the tail thread (by Start's caller until then); other threads
+  /// only Interrupt() it.
+  net::FrameClient client_;
 
   std::atomic<uint64_t> applied_{0};
   std::atomic<uint64_t> primary_seen_{0};

@@ -377,19 +377,21 @@ ApplyOutcome PlanningService::ApplyOne(const AtomicOp& op) {
   Status journaled = Status::OK();
   if (journal_) {
     journaled = journal_->Append(op);
-    // Transient append failures (the journal restored its tail, so the
-    // file is intact) are retried with capped exponential backoff; anything
-    // else — or exhausting the budget — rejects the op without applying it.
-    int backoff_ms = options_.journal_backoff_initial_ms;
+    // Transient append failures (kUnavailable: disk hiccup, injected fault;
+    // the journal restored its tail, so the file is intact) are retried
+    // up to kRetryLimit times, waiting 1 ms doubled per attempt up to
+    // kBackoffMaxMs; anything else — or exhausting the budget — rejects
+    // the op without applying it.
+    constexpr int kRetryLimit = 3;
+    constexpr int kBackoffMaxMs = 50;
+    int backoff_ms = 1;
     for (int retry = 0; !journaled.ok() &&
                         journaled.code() == StatusCode::kUnavailable &&
-                        retry < options_.journal_retry_limit;
+                        retry < kRetryLimit;
          ++retry) {
       metrics_.RecordJournalRetry();
-      if (backoff_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      }
-      backoff_ms = std::min(backoff_ms * 2, options_.journal_backoff_max_ms);
+      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+      backoff_ms = std::min(backoff_ms * 2, kBackoffMaxMs);
       journaled = journal_->Append(op);
     }
     journal_bytes_.store(journal_->bytes_written(),

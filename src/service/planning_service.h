@@ -38,17 +38,6 @@ struct ServiceOptions {
   /// use `Recover` to resume from one.
   std::string journal_path;
 
-  /// Transient journal-append failures (kUnavailable: disk hiccup, injected
-  /// fault) are retried up to this many times before the op is rejected.
-  /// Non-transient failures reject immediately. The journal restores its
-  /// tail on every failed append, so retries never see a corrupt file.
-  int journal_retry_limit = 3;
-
-  /// Exponential backoff between journal retries: first wait, then doubled
-  /// per attempt, capped. Zero disables the sleep (tests).
-  int journal_backoff_initial_ms = 1;
-  int journal_backoff_max_ms = 50;
-
   /// Directory for GCKP1 checkpoint files. Empty disables checkpointing;
   /// the directory is created on startup when set. Recover scans it for the
   /// newest usable checkpoint and replays only the journal tail past it.

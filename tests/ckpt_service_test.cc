@@ -50,7 +50,6 @@ class CkptServiceTest : public ::testing::Test {
     options.checkpoint_dir = ckpt_dir_;
     options.checkpoint_every = every;
     options.checkpoint_retain = retain;
-    options.journal_backoff_initial_ms = 0;
     return options;
   }
 

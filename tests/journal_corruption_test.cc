@@ -191,15 +191,21 @@ TEST_F(JournalCorruptionTest, MissingFileIsNotFound) {
 TEST_F(JournalCorruptionTest, InteriorCorruptLineIsErrorNotTornTail) {
   // Replace the *middle* row with a complete-but-unparseable line. Unlike
   // a torn tail this must hard-fail: data after the rot can't be trusted.
+  // Past the first, each line is a valid row with a flipped or extra
+  // character: it must fail as corruption, not replay as a different op
+  // (`0.7u` read as 0.7).
   const size_t first_row = full_.find('\n') + 1;
   const size_t second_row = full_.find('\n', first_row) + 1;
   const size_t third_row = full_.find('\n', second_row) + 1;
-  std::string bytes = full_.substr(0, second_row) + "xyzzy 12 foo\n" +
-                      full_.substr(third_row);
-  auto replay = Replay(bytes);
-  ASSERT_FALSE(replay.ok());
-  EXPECT_EQ(replay.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(replay.status().message().find("byte"), std::string::npos);
+  for (const std::string bad :
+       {"xyzzy 12 foo", "eta 1 2 junk", "budget 0 12abc", "mu 3 4 0.7u",
+        "xi 1 2.5", "new 1 2 0 3 10 20 0 0.5 0.u 0.7"}) {
+    auto replay = Replay(full_.substr(0, second_row) + bad + "\n" +
+                         full_.substr(third_row));
+    ASSERT_FALSE(replay.ok()) << bad;
+    EXPECT_EQ(replay.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(replay.status().message().find("byte"), std::string::npos);
+  }
 }
 
 TEST_F(JournalCorruptionTest, ScanReportsCommittedAndTornSplit) {

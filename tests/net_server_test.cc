@@ -2,14 +2,11 @@
 // handlers: handshake + session ids, request/response correlation,
 // pipelining, admission control under a saturated op pool (Status
 // rejection while the accept loop stays live), read/op pool isolation,
-// shutdown-from-handler, and the net.* fault-injection points.
+// shutdown-from-handler, and the net.* fault-injection points. Every test
+// talks through the blocking client (src/net/client.h); FrameClientTest
+// covers its timeout, interrupt and corrupt-stream paths.
 
 #include "net/server.h"
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -22,7 +19,7 @@
 #include <vector>
 
 #include "fault/fault.h"
-#include "net/frame.h"
+#include "net/client.h"
 #include "service/dispatch.h"
 #include "service/planning_service.h"
 #include "tests/paper_example.h"
@@ -31,66 +28,23 @@ namespace gepc {
 namespace net {
 namespace {
 
-/// Minimal blocking client for tests.
-class TestClient {
- public:
-  bool Connect(int port) {
-    fd_ = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    return connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
-  }
+constexpr char kHost[] = "127.0.0.1";
+/// Per-frame wait; a healthy local server answers in well under a second.
+constexpr int kWaitMs = 10000;
 
-  bool Send(FrameType type, const std::string& payload,
-            bool compress = false) {
-    const std::string wire = EncodeFrame(type, payload, compress);
-    size_t off = 0;
-    while (off < wire.size()) {
-      const ssize_t n = write(fd_, wire.data() + off, wire.size() - off);
-      if (n <= 0) return false;
-      off += static_cast<size_t>(n);
-    }
-    return true;
-  }
+/// Connects `client` to the test server and completes the handshake.
+::testing::AssertionResult Join(FrameClient* client, int port) {
+  Status status = client->Connect(kHost, port);
+  if (status.ok()) status = client->Handshake(kWaitMs).status();
+  if (status.ok()) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << status;
+}
 
-  /// Blocks for the next frame; false on EOF/error.
-  bool Recv(Frame* out) {
-    char buffer[65536];
-    Status error;
-    while (true) {
-      const auto next = decoder_.Pop(out, &error);
-      if (next == FrameDecoder::Next::kFrame) return true;
-      if (next == FrameDecoder::Next::kError) return false;
-      const ssize_t n = read(fd_, buffer, sizeof(buffer));
-      if (n <= 0) return false;
-      decoder_.Feed(buffer, static_cast<size_t>(n));
-    }
-  }
-
-  /// Hello -> Welcome; returns the Welcome payload ("" on failure).
-  std::string Handshake() {
-    if (!Send(FrameType::kHello, "{}")) return "";
-    Frame frame;
-    if (!Recv(&frame) || frame.type != FrameType::kWelcome) return "";
-    return frame.payload;
-  }
-
-  void Close() {
-    if (fd_ >= 0) close(fd_);
-    fd_ = -1;
-  }
-
-  ~TestClient() { Close(); }
-
-  int fd() const { return fd_; }
-
- private:
-  int fd_ = -1;
-  FrameDecoder decoder_;
-};
+/// True when the server closes the connection before sending another frame.
+bool ClosedByServer(FrameClient* client) {
+  Frame frame;
+  return client->Recv(&frame, kWaitMs).code() == StatusCode::kNotFound;
+}
 
 NetServerOptions SmallOptions() {
   NetServerOptions options;
@@ -108,17 +62,17 @@ TEST(NetServerTest, HandshakeGrantsDistinctSessions) {
   NetServer server(SmallOptions(), Echo);
   ASSERT_TRUE(server.Start().ok());
 
-  TestClient a;
-  TestClient b;
-  ASSERT_TRUE(a.Connect(server.port()));
-  ASSERT_TRUE(b.Connect(server.port()));
-  const std::string welcome_a = a.Handshake();
-  const std::string welcome_b = b.Handshake();
-  ASSERT_NE(welcome_a, "");
-  ASSERT_NE(welcome_b, "");
-  EXPECT_NE(welcome_a.find("\"session\":"), std::string::npos);
-  EXPECT_NE(welcome_a.find("\"frame_version\":1"), std::string::npos);
-  EXPECT_NE(welcome_a, welcome_b);  // distinct session ids
+  FrameClient a;
+  FrameClient b;
+  ASSERT_TRUE(a.Connect(kHost, server.port()).ok());
+  ASSERT_TRUE(b.Connect(kHost, server.port()).ok());
+  const auto welcome_a = a.Handshake(kWaitMs);
+  const auto welcome_b = b.Handshake(kWaitMs);
+  ASSERT_TRUE(welcome_a.ok()) << welcome_a.status();
+  ASSERT_TRUE(welcome_b.ok()) << welcome_b.status();
+  EXPECT_NE(welcome_a->find("\"session\":"), std::string::npos);
+  EXPECT_NE(welcome_a->find("\"frame_version\":1"), std::string::npos);
+  EXPECT_NE(*welcome_a, *welcome_b);  // distinct session ids
   server.Stop();
 }
 
@@ -126,26 +80,27 @@ TEST(NetServerTest, WelcomeCarriesExtraFields) {
   NetServer server(SmallOptions(), Echo, nullptr,
                    "\"users\":500,\"events\":40");
   ASSERT_TRUE(server.Start().ok());
-  TestClient client;
-  ASSERT_TRUE(client.Connect(server.port()));
-  const std::string welcome = client.Handshake();
-  EXPECT_NE(welcome.find("\"users\":500"), std::string::npos) << welcome;
-  EXPECT_NE(welcome.find("\"events\":40"), std::string::npos) << welcome;
+  FrameClient client;
+  ASSERT_TRUE(client.Connect(kHost, server.port()).ok());
+  const auto welcome = client.Handshake(kWaitMs);
+  ASSERT_TRUE(welcome.ok()) << welcome.status();
+  EXPECT_NE(welcome->find("\"users\":500"), std::string::npos) << *welcome;
+  EXPECT_NE(welcome->find("\"events\":40"), std::string::npos) << *welcome;
   server.Stop();
 }
 
 TEST(NetServerTest, RequestBeforeHelloIsAProtocolError) {
   NetServer server(SmallOptions(), Echo);
   ASSERT_TRUE(server.Start().ok());
-  TestClient client;
-  ASSERT_TRUE(client.Connect(server.port()));
-  ASSERT_TRUE(client.Send(FrameType::kRequest, "{\"cmd\":\"stats\"}"));
+  FrameClient client;
+  ASSERT_TRUE(client.Connect(kHost, server.port()).ok());
+  ASSERT_TRUE(client.Send(FrameType::kRequest, "{\"cmd\":\"stats\"}").ok());
   Frame frame;
-  ASSERT_TRUE(client.Recv(&frame));
+  ASSERT_TRUE(client.Recv(&frame, kWaitMs).ok());
   EXPECT_EQ(frame.type, FrameType::kStatus);
   EXPECT_NE(frame.payload.find("hello required"), std::string::npos);
   // The server closes the connection afterwards.
-  EXPECT_FALSE(client.Recv(&frame));
+  EXPECT_TRUE(ClosedByServer(&client));
   EXPECT_GE(server.Counters().protocol_errors, 1u);
   server.Stop();
 }
@@ -153,14 +108,13 @@ TEST(NetServerTest, RequestBeforeHelloIsAProtocolError) {
 TEST(NetServerTest, EchoesResponsesAndCountsFrames) {
   NetServer server(SmallOptions(), Echo);
   ASSERT_TRUE(server.Start().ok());
-  TestClient client;
-  ASSERT_TRUE(client.Connect(server.port()));
-  ASSERT_NE(client.Handshake(), "");
+  FrameClient client;
+  ASSERT_TRUE(Join(&client, server.port()));
   for (int i = 0; i < 10; ++i) {
     const std::string request = "req-" + std::to_string(i);
-    ASSERT_TRUE(client.Send(FrameType::kRequest, request));
+    ASSERT_TRUE(client.Send(FrameType::kRequest, request).ok());
     Frame frame;
-    ASSERT_TRUE(client.Recv(&frame));
+    ASSERT_TRUE(client.Recv(&frame, kWaitMs).ok());
     EXPECT_EQ(frame.type, FrameType::kResponse);
     EXPECT_EQ(frame.payload, "echo:" + request);
   }
@@ -174,16 +128,15 @@ TEST(NetServerTest, EchoesResponsesAndCountsFrames) {
 TEST(NetServerTest, PipelinedRequestsAllComplete) {
   NetServer server(SmallOptions(), Echo);
   ASSERT_TRUE(server.Start().ok());
-  TestClient client;
-  ASSERT_TRUE(client.Connect(server.port()));
-  ASSERT_NE(client.Handshake(), "");
+  FrameClient client;
+  ASSERT_TRUE(Join(&client, server.port()));
   constexpr int kBurst = 50;
   for (int i = 0; i < kBurst; ++i) {
-    ASSERT_TRUE(client.Send(FrameType::kRequest, std::to_string(i)));
+    ASSERT_TRUE(client.Send(FrameType::kRequest, std::to_string(i)).ok());
   }
   int got = 0;
   Frame frame;
-  while (got < kBurst && client.Recv(&frame)) {
+  while (got < kBurst && client.Recv(&frame, kWaitMs).ok()) {
     if (frame.type == FrameType::kResponse) ++got;
   }
   EXPECT_EQ(got, kBurst);
@@ -195,16 +148,16 @@ TEST(NetServerTest, CompressedRequestsAndResponsesRoundTrip) {
   options.compress = true;
   NetServer server(options, Echo);
   ASSERT_TRUE(server.Start().ok());
-  TestClient client;
-  ASSERT_TRUE(client.Connect(server.port()));
-  ASSERT_NE(client.Handshake(), "");
+  FrameClient client;
+  ASSERT_TRUE(Join(&client, server.port()));
   // Big repetitive payload: client compresses the request, server (with
   // compress on) compresses the response; both sides must inflate.
   std::string request;
   for (int i = 0; i < 500; ++i) request += "{\"cmd\":\"stats\"}";
-  ASSERT_TRUE(client.Send(FrameType::kRequest, request, /*compress=*/true));
+  ASSERT_TRUE(
+      client.Send(FrameType::kRequest, request, /*compress=*/true).ok());
   Frame frame;
-  ASSERT_TRUE(client.Recv(&frame));
+  ASSERT_TRUE(client.Recv(&frame, kWaitMs).ok());
   EXPECT_EQ(frame.type, FrameType::kResponse);
   EXPECT_EQ(frame.payload, "echo:" + request);
   EXPECT_TRUE(frame.compressed);
@@ -214,14 +167,13 @@ TEST(NetServerTest, CompressedRequestsAndResponsesRoundTrip) {
 TEST(NetServerTest, GarbageBytesGetStatusThenClose) {
   NetServer server(SmallOptions(), Echo);
   ASSERT_TRUE(server.Start().ok());
-  TestClient client;
-  ASSERT_TRUE(client.Connect(server.port()));
-  const std::string garbage = "GET / HTTP/1.1\r\n\r\n";
-  ASSERT_GT(write(client.fd(), garbage.data(), garbage.size()), 0);
+  FrameClient client;
+  ASSERT_TRUE(client.Connect(kHost, server.port()).ok());
+  ASSERT_TRUE(client.SendBytes("GET / HTTP/1.1\r\n\r\n").ok());
   Frame frame;
-  ASSERT_TRUE(client.Recv(&frame));
+  ASSERT_TRUE(client.Recv(&frame, kWaitMs).ok());
   EXPECT_EQ(frame.type, FrameType::kStatus);
-  EXPECT_FALSE(client.Recv(&frame));  // closed
+  EXPECT_TRUE(ClosedByServer(&client));  // closed
   server.Stop();
 }
 
@@ -246,20 +198,19 @@ TEST(NetServerTest, SaturatedOpPoolRejectsWithoutStallingAccepts) {
   NetServer server(options, blocking_handler);
   ASSERT_TRUE(server.Start().ok());
 
-  TestClient writer;
-  ASSERT_TRUE(writer.Connect(server.port()));
-  ASSERT_NE(writer.Handshake(), "");
-  ASSERT_TRUE(writer.Send(FrameType::kRequest, "block"));   // parks worker
+  FrameClient writer;
+  ASSERT_TRUE(Join(&writer, server.port()));
+  ASSERT_TRUE(writer.Send(FrameType::kRequest, "block").ok());   // parks worker
   // Wait until the worker actually picked the job up, then fill the queue.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  ASSERT_TRUE(writer.Send(FrameType::kRequest, "queued"));  // fills queue
+  ASSERT_TRUE(writer.Send(FrameType::kRequest, "queued").ok());  // fills queue
 
   // Saturation: this one must bounce with a Status frame, quickly.
   std::string rejection;
   for (int attempt = 0; attempt < 100 && rejection.empty(); ++attempt) {
-    ASSERT_TRUE(writer.Send(FrameType::kRequest, "bounce"));
+    ASSERT_TRUE(writer.Send(FrameType::kRequest, "bounce").ok());
     Frame frame;
-    ASSERT_TRUE(writer.Recv(&frame));
+    ASSERT_TRUE(writer.Recv(&frame, kWaitMs).ok());
     if (frame.type == FrameType::kStatus) rejection = frame.payload;
     // A Response here would mean the queue drained (it cannot: the worker
     // is parked), so anything else is a test failure.
@@ -270,9 +221,8 @@ TEST(NetServerTest, SaturatedOpPoolRejectsWithoutStallingAccepts) {
 
   // The accept loop is alive: a fresh client handshakes while the op pool
   // is still wedged.
-  TestClient fresh;
-  ASSERT_TRUE(fresh.Connect(server.port()));
-  EXPECT_NE(fresh.Handshake(), "");
+  FrameClient fresh;
+  EXPECT_TRUE(Join(&fresh, server.port()));
 
   // Unblock; the parked and queued requests complete in order.
   {
@@ -281,9 +231,9 @@ TEST(NetServerTest, SaturatedOpPoolRejectsWithoutStallingAccepts) {
   }
   cv.notify_all();
   Frame frame;
-  ASSERT_TRUE(writer.Recv(&frame));
+  ASSERT_TRUE(writer.Recv(&frame, kWaitMs).ok());
   EXPECT_EQ(frame.payload, "done:block");
-  ASSERT_TRUE(writer.Recv(&frame));
+  ASSERT_TRUE(writer.Recv(&frame, kWaitMs).ok());
   EXPECT_EQ(frame.payload, "done:queued");
   server.Stop();
 }
@@ -310,18 +260,18 @@ TEST(NetServerTest, ReadsFlowWhileOpPoolIsSaturated) {
   NetServer server(options, handler, router);
   ASSERT_TRUE(server.Start().ok());
 
-  TestClient client;
-  ASSERT_TRUE(client.Connect(server.port()));
-  ASSERT_NE(client.Handshake(), "");
-  ASSERT_TRUE(client.Send(FrameType::kRequest, "op-block"));
+  FrameClient client;
+  ASSERT_TRUE(Join(&client, server.port()));
+  ASSERT_TRUE(client.Send(FrameType::kRequest, "op-block").ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  ASSERT_TRUE(client.Send(FrameType::kRequest, "op-queued"));
+  ASSERT_TRUE(client.Send(FrameType::kRequest, "op-queued").ok());
 
   // Reads complete while the op pool is parked.
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(client.Send(FrameType::kRequest, "read-" + std::to_string(i)));
+    ASSERT_TRUE(
+        client.Send(FrameType::kRequest, "read-" + std::to_string(i)).ok());
     Frame frame;
-    ASSERT_TRUE(client.Recv(&frame));
+    ASSERT_TRUE(client.Recv(&frame, kWaitMs).ok());
     EXPECT_EQ(frame.type, FrameType::kResponse);
     EXPECT_EQ(frame.payload, "done:read-" + std::to_string(i));
   }
@@ -332,9 +282,9 @@ TEST(NetServerTest, ReadsFlowWhileOpPoolIsSaturated) {
   }
   cv.notify_all();
   Frame frame;
-  ASSERT_TRUE(client.Recv(&frame));
+  ASSERT_TRUE(client.Recv(&frame, kWaitMs).ok());
   EXPECT_EQ(frame.payload, "done:op-block");
-  ASSERT_TRUE(client.Recv(&frame));
+  ASSERT_TRUE(client.Recv(&frame, kWaitMs).ok());
   EXPECT_EQ(frame.payload, "done:op-queued");
   server.Stop();
 }
@@ -344,23 +294,23 @@ TEST(NetServerTest, MaxConnectionsRefusesTheOverflowClient) {
   options.max_connections = 2;
   NetServer server(options, Echo);
   ASSERT_TRUE(server.Start().ok());
-  TestClient a;
-  TestClient b;
-  ASSERT_TRUE(a.Connect(server.port()));
-  ASSERT_TRUE(b.Connect(server.port()));
-  ASSERT_NE(a.Handshake(), "");
-  ASSERT_NE(b.Handshake(), "");
-  TestClient overflow;
-  ASSERT_TRUE(overflow.Connect(server.port()));
+  FrameClient a;
+  FrameClient b;
+  ASSERT_TRUE(a.Connect(kHost, server.port()).ok());
+  ASSERT_TRUE(b.Connect(kHost, server.port()).ok());
+  ASSERT_TRUE(a.Handshake(kWaitMs).ok());
+  ASSERT_TRUE(b.Handshake(kWaitMs).ok());
+  FrameClient overflow;
+  ASSERT_TRUE(overflow.Connect(kHost, server.port()).ok());
   Frame frame;
-  ASSERT_TRUE(overflow.Recv(&frame));
+  ASSERT_TRUE(overflow.Recv(&frame, kWaitMs).ok());
   EXPECT_EQ(frame.type, FrameType::kStatus);
   EXPECT_NE(frame.payload.find("server full"), std::string::npos);
-  EXPECT_FALSE(overflow.Recv(&frame));  // closed
+  EXPECT_TRUE(ClosedByServer(&overflow));  // closed
   EXPECT_GE(server.Counters().connections_refused, 1u);
   // Existing sessions are unaffected.
-  ASSERT_TRUE(a.Send(FrameType::kRequest, "still-alive"));
-  ASSERT_TRUE(a.Recv(&frame));
+  ASSERT_TRUE(a.Send(FrameType::kRequest, "still-alive").ok());
+  ASSERT_TRUE(a.Recv(&frame, kWaitMs).ok());
   EXPECT_EQ(frame.payload, "echo:still-alive");
   server.Stop();
 }
@@ -372,12 +322,12 @@ TEST(NetServerTest, ShutdownRequestAcksThenStopsTheServer) {
   };
   NetServer server(SmallOptions(), handler);
   ASSERT_TRUE(server.Start().ok());
-  TestClient client;
-  ASSERT_TRUE(client.Connect(server.port()));
-  ASSERT_NE(client.Handshake(), "");
-  ASSERT_TRUE(client.Send(FrameType::kRequest, "shutdown"));
+  FrameClient client;
+  ASSERT_TRUE(Join(&client, server.port()));
+  ASSERT_TRUE(client.Send(FrameType::kRequest, "shutdown").ok());
   Frame frame;
-  ASSERT_TRUE(client.Recv(&frame));  // the ack arrives before the stop
+  // The ack arrives before the stop.
+  ASSERT_TRUE(client.Recv(&frame, kWaitMs).ok());
   EXPECT_EQ(frame.type, FrameType::kResponse);
   EXPECT_NE(frame.payload.find("\"shutdown\":true"), std::string::npos);
   server.WaitForStop();
@@ -394,15 +344,13 @@ TEST(NetServerTest, AcceptFaultDropsTheConnection) {
   NetServer server(SmallOptions(), Echo);
   ASSERT_TRUE(server.Start().ok());
 
-  TestClient victim;
-  ASSERT_TRUE(victim.Connect(server.port()));
-  Frame frame;
-  EXPECT_FALSE(victim.Recv(&frame));  // dropped before any frame
+  FrameClient victim;
+  ASSERT_TRUE(victim.Connect(kHost, server.port()).ok());
+  EXPECT_TRUE(ClosedByServer(&victim));  // dropped before any frame
 
   // The next connection (fault exhausted) works.
-  TestClient survivor;
-  ASSERT_TRUE(survivor.Connect(server.port()));
-  EXPECT_NE(survivor.Handshake(), "");
+  FrameClient survivor;
+  EXPECT_TRUE(Join(&survivor, server.port()));
   EXPECT_GE(fault::Registry::Global().FireCount("net.accept"), 1u);
   server.Stop();
   fault::Registry::Global().Reset();
@@ -412,22 +360,19 @@ TEST(NetServerTest, ReadFaultResetsTheConnection) {
   fault::Registry::Global().Reset();
   NetServer server(SmallOptions(), Echo);
   ASSERT_TRUE(server.Start().ok());
-  TestClient client;
-  ASSERT_TRUE(client.Connect(server.port()));
-  ASSERT_NE(client.Handshake(), "");
+  FrameClient client;
+  ASSERT_TRUE(Join(&client, server.port()));
 
   fault::FaultSpec spec;
   spec.code = StatusCode::kUnavailable;
   fault::Registry::Global().Arm("net.read", spec);
-  ASSERT_TRUE(client.Send(FrameType::kRequest, "doomed"));
-  Frame frame;
-  EXPECT_FALSE(client.Recv(&frame));  // connection torn down by the fault
+  ASSERT_TRUE(client.Send(FrameType::kRequest, "doomed").ok());
+  EXPECT_TRUE(ClosedByServer(&client));  // connection torn down by the fault
   fault::Registry::Global().Reset();
 
   // Later connections are healthy again.
-  TestClient after;
-  ASSERT_TRUE(after.Connect(server.port()));
-  EXPECT_NE(after.Handshake(), "");
+  FrameClient after;
+  EXPECT_TRUE(Join(&after, server.port()));
   server.Stop();
 }
 
@@ -435,16 +380,14 @@ TEST(NetServerTest, WriteFaultResetsTheConnection) {
   fault::Registry::Global().Reset();
   NetServer server(SmallOptions(), Echo);
   ASSERT_TRUE(server.Start().ok());
-  TestClient client;
-  ASSERT_TRUE(client.Connect(server.port()));
-  ASSERT_NE(client.Handshake(), "");
+  FrameClient client;
+  ASSERT_TRUE(Join(&client, server.port()));
 
   fault::FaultSpec spec;
   spec.code = StatusCode::kUnavailable;
   fault::Registry::Global().Arm("net.write", spec);
-  ASSERT_TRUE(client.Send(FrameType::kRequest, "doomed"));
-  Frame frame;
-  EXPECT_FALSE(client.Recv(&frame));  // response write was faulted
+  ASSERT_TRUE(client.Send(FrameType::kRequest, "doomed").ok());
+  EXPECT_TRUE(ClosedByServer(&client));  // response write was faulted
   fault::Registry::Global().Reset();
   server.Stop();
 }
@@ -452,14 +395,16 @@ TEST(NetServerTest, WriteFaultResetsTheConnection) {
 TEST(NetServerTest, StopClosesClientsAndIsIdempotent) {
   NetServer server(SmallOptions(), Echo);
   ASSERT_TRUE(server.Start().ok());
-  TestClient client;
-  ASSERT_TRUE(client.Connect(server.port()));
-  ASSERT_NE(client.Handshake(), "");
+  FrameClient client;
+  ASSERT_TRUE(Join(&client, server.port()));
   server.Stop();
   server.Stop();
   EXPECT_TRUE(server.stopped());
-  Frame frame;
-  EXPECT_FALSE(client.Recv(&frame));  // EOF after stop
+  EXPECT_TRUE(ClosedByServer(&client));  // EOF after stop
+  // The port is closed: a new connect fails with a Status.
+  EXPECT_EQ(client.Connect(kHost, server.port()).code(),
+            StatusCode::kUnavailable);
+  EXPECT_FALSE(client.is_open());
 }
 
 TEST(NetServerTest, ServesTheRealDispatchProtocol) {
@@ -480,27 +425,71 @@ TEST(NetServerTest, ServesTheRealDispatchProtocol) {
       });
   ASSERT_TRUE(server.Start().ok());
 
-  TestClient client;
-  ASSERT_TRUE(client.Connect(server.port()));
-  ASSERT_NE(client.Handshake(), "");
+  FrameClient client;
+  ASSERT_TRUE(Join(&client, server.port()));
   Frame frame;
-  ASSERT_TRUE(client.Send(FrameType::kRequest,
-                          R"({"id":1,"cmd":"apply","op":"budget:0:75.5"})"));
-  ASSERT_TRUE(client.Recv(&frame));
+  ASSERT_TRUE(client
+                  .Send(FrameType::kRequest,
+                        R"({"id":1,"cmd":"apply","op":"budget:0:75.5"})")
+                  .ok());
+  ASSERT_TRUE(client.Recv(&frame, kWaitMs).ok());
   EXPECT_NE(frame.payload.find("\"id\":1"), std::string::npos);
   EXPECT_NE(frame.payload.find("\"applied\":true"), std::string::npos);
   ASSERT_TRUE(
-      client.Send(FrameType::kRequest, R"({"id":2,"cmd":"stats"})"));
-  ASSERT_TRUE(client.Recv(&frame));
+      client.Send(FrameType::kRequest, R"({"id":2,"cmd":"stats"})").ok());
+  ASSERT_TRUE(client.Recv(&frame, kWaitMs).ok());
   EXPECT_NE(frame.payload.find("\"id\":2"), std::string::npos);
   EXPECT_NE(frame.payload.find("\"ops_applied\":1"), std::string::npos);
   // Shutdown over the wire stops the server after acking.
   ASSERT_TRUE(
-      client.Send(FrameType::kRequest, R"({"id":3,"cmd":"shutdown"})"));
-  ASSERT_TRUE(client.Recv(&frame));
+      client.Send(FrameType::kRequest, R"({"id":3,"cmd":"shutdown"})").ok());
+  ASSERT_TRUE(client.Recv(&frame, kWaitMs).ok());
   EXPECT_NE(frame.payload.find("\"shutdown\":true"), std::string::npos);
   server.WaitForStop();
   EXPECT_TRUE(server.stopped());
+}
+
+TEST(FrameClientTest, RecvTimesOutThenInterruptWakesItForGood) {
+  NetServer server(SmallOptions(), Echo);
+  ASSERT_TRUE(server.Start().ok());
+  FrameClient client;
+  ASSERT_TRUE(Join(&client, server.port()));
+  Frame frame;
+  EXPECT_EQ(client.Recv(&frame, 50).code(), StatusCode::kUnavailable);
+  // The timeout kept the connection.
+  ASSERT_TRUE(client.Send(FrameType::kRequest, "still-here").ok());
+  ASSERT_TRUE(client.Recv(&frame, kWaitMs).ok());
+  EXPECT_EQ(frame.payload, "echo:still-here");
+
+  std::thread interrupter([&client] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    client.Interrupt();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(client.Recv(&frame, kWaitMs).code(), StatusCode::kUnavailable);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+  interrupter.join();
+  // An interrupted client stays interrupted: it cannot reconnect.
+  EXPECT_FALSE(client.Connect(kHost, server.port()).ok());
+  server.Stop();
+}
+
+TEST(FrameClientTest, CorruptServerBytesSurfaceTheDecoderError) {
+  NetServer server(SmallOptions(), Echo);
+  // The hook answers an extension frame with bytes that are not a frame.
+  server.SetFrameHook([&server](uint64_t conn_id, Frame) {
+    server.Push(conn_id, "HTTP/1.1 200 OK\r\n\r\n");
+    return true;
+  });
+  ASSERT_TRUE(server.Start().ok());
+  FrameClient client;
+  ASSERT_TRUE(Join(&client, server.port()));
+  ASSERT_TRUE(client.Send(FrameType::kReplSync, "{}").ok());
+  Frame frame;
+  const Status status = client.Recv(&frame, kWaitMs);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_NE(status.message().find("bad magic"), std::string::npos) << status;
+  server.Stop();
 }
 
 }  // namespace

@@ -33,6 +33,8 @@ namespace fs = std::filesystem;
 using testing_support::MakePaperInstance;
 using testing_support::MakePaperPlan;
 
+constexpr int kWaitMs = 10000;
+
 AtomicOp Op(const std::string& spec) {
   auto op = ParseOpSpec(spec);
   EXPECT_TRUE(op.ok()) << spec << ": " << op.status().ToString();
@@ -195,16 +197,6 @@ class ReplTest : public ::testing::Test {
     follower_ = std::move(*started);
   }
 
-  bool WaitForApplied(uint64_t want, int timeout_ms = 10000) {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(timeout_ms);
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (follower_->stats().applied >= want) return true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    return false;
-  }
-
   std::string StateOf(const PlanningService& service) {
     const auto snapshot = service.snapshot();
     auto state = SerializeServiceState(*snapshot->instance, *snapshot->plan,
@@ -230,7 +222,7 @@ TEST_F(ReplTest, CheckpointBootstrapThenLiveTail) {
   ASSERT_TRUE(primary_->Apply(Op("eta:1:4")).applied);
   StartFollower();
   EXPECT_TRUE(role_.follower.load());
-  ASSERT_TRUE(WaitForApplied(2));
+  ASSERT_TRUE(follower_->WaitForApplied(2, kWaitMs));
   EXPECT_EQ(follower_->stats().checkpoints_received +
                 follower_->stats().rows_applied >
             0,
@@ -239,7 +231,7 @@ TEST_F(ReplTest, CheckpointBootstrapThenLiveTail) {
   // Live rows fan out through the commit hook.
   ASSERT_TRUE(primary_->Apply(Op("budget:2:300")).applied);
   ASSERT_TRUE(primary_->Apply(Op("xi:0:1")).applied);
-  ASSERT_TRUE(WaitForApplied(4));
+  ASSERT_TRUE(follower_->WaitForApplied(4, kWaitMs));
 
   EXPECT_EQ(StateOf(*follower_->service()), StateOf(*primary_));
   EXPECT_TRUE(follower_->stats().connected);
@@ -254,7 +246,7 @@ TEST_F(ReplTest, LagGaugesExposedAndCaughtUp) {
   StartPrimary();
   StartFollower();
   ASSERT_TRUE(primary_->Apply(Op("budget:0:150")).applied);
-  ASSERT_TRUE(WaitForApplied(1));
+  ASSERT_TRUE(follower_->WaitForApplied(1, kWaitMs));
   // Give the next heartbeat a chance to confirm the catch-up.
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
 
@@ -273,7 +265,7 @@ TEST_F(ReplTest, LagGaugesExposedAndCaughtUp) {
 TEST_F(ReplTest, DispatcherRedirectsWritesWhileFollowing) {
   StartPrimary();
   StartFollower();
-  ASSERT_TRUE(WaitForApplied(0));
+  ASSERT_TRUE(follower_->WaitForApplied(0, kWaitMs));
 
   DispatchDefaults defaults;
   const CommandDispatcher dispatcher(follower_->service(), defaults, &role_);
@@ -298,7 +290,7 @@ TEST_F(ReplTest, PromotionFlipsRoleAndAcceptsWrites) {
   StartPrimary();
   ASSERT_TRUE(primary_->Apply(Op("budget:0:175")).applied);
   StartFollower();
-  ASSERT_TRUE(WaitForApplied(1));
+  ASSERT_TRUE(follower_->WaitForApplied(1, kWaitMs));
 
   // Kill the primary the way a crash looks from the follower: sockets die.
   source_->Stop();
@@ -306,7 +298,8 @@ TEST_F(ReplTest, PromotionFlipsRoleAndAcceptsWrites) {
   const std::string final_primary_state = StateOf(*primary_);
   primary_.reset();
 
-  follower_->Stop();  // joins the tail thread; PromoteNow is race-free
+  // The tail thread is still reconnecting; PromoteNow wakes it through its
+  // client's Interrupt() and never touches the socket itself.
   ASSERT_TRUE(follower_->PromoteNow().ok());
   EXPECT_TRUE(follower_->promoted());
   EXPECT_FALSE(role_.follower.load());
@@ -325,17 +318,27 @@ TEST_F(ReplTest, PromotionFlipsRoleAndAcceptsWrites) {
   EXPECT_NE(stats.response.find("\"role\":\"primary\""), std::string::npos);
 }
 
+TEST_F(ReplTest, PromoteWhileTailingALivePrimary) {
+  // PromoteNow on this thread wakes the connected tail thread through its
+  // client's Interrupt(); only the tail thread closes the socket.
+  StartPrimary();
+  StartFollower();
+  ASSERT_TRUE(follower_->WaitForApplied(0, kWaitMs));
+  ASSERT_TRUE(follower_->PromoteNow().ok());
+  EXPECT_FALSE(role_.follower.load());
+}
+
 TEST_F(ReplTest, RetentionPinHoldsCompactionForSyncingFollower) {
   // checkpoint_every=2 would normally compact the journal up to each new
   // checkpoint; a registered follower's pin must hold the base back.
   StartPrimary(/*checkpoint_every=*/2);
   StartFollower();
-  ASSERT_TRUE(WaitForApplied(0));
+  ASSERT_TRUE(follower_->WaitForApplied(0, kWaitMs));
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(primary_->Apply(Op("budget:1:" + std::to_string(150 + i)))
                     .applied);
   }
-  ASSERT_TRUE(WaitForApplied(6));
+  ASSERT_TRUE(follower_->WaitForApplied(6, kWaitMs));
 
   // The live follower's pin rides the fan-out, so compaction may advance —
   // but never beyond what the follower has been sent.
@@ -356,7 +359,7 @@ TEST_F(ReplTest, FollowerRestartUsesLocalStateThenResumesTail) {
   StartPrimary();
   ASSERT_TRUE(primary_->Apply(Op("budget:0:210")).applied);
   StartFollower();
-  ASSERT_TRUE(WaitForApplied(1));
+  ASSERT_TRUE(follower_->WaitForApplied(1, kWaitMs));
   const uint64_t checkpoints_before = follower_->stats().checkpoints_received;
   follower_->Stop();
   follower_.reset();
@@ -370,7 +373,7 @@ TEST_F(ReplTest, FollowerRestartUsesLocalStateThenResumesTail) {
   // Restart: local checkpoint + journal bridge the gap, so no second
   // checkpoint ship is needed.
   StartFollower();
-  ASSERT_TRUE(WaitForApplied(3));
+  ASSERT_TRUE(follower_->WaitForApplied(3, kWaitMs));
   EXPECT_EQ(StateOf(*follower_->service()), StateOf(*primary_));
   EXPECT_EQ(follower_->stats().checkpoints_received, 0u)
       << "restart should bridge from local state, not re-ship (first boot "
@@ -387,7 +390,7 @@ TEST_F(ReplTest, ShipFaultFailsSyncThenRetrySucceeds) {
   ASSERT_TRUE(primary_->Apply(Op("budget:0:160")).applied);
   ASSERT_TRUE(fault::ArmFromSpec("repl.ship=unavailable:count=1").ok());
   StartFollower();  // first sync dies with kReplError; reconnect succeeds
-  ASSERT_TRUE(WaitForApplied(1));
+  ASSERT_TRUE(follower_->WaitForApplied(1, kWaitMs));
   EXPECT_GE(source_->stats().sync_errors, 1u);
   EXPECT_EQ(StateOf(*follower_->service()), StateOf(*primary_));
 }
@@ -395,13 +398,13 @@ TEST_F(ReplTest, ShipFaultFailsSyncThenRetrySucceeds) {
 TEST_F(ReplTest, TailFaultForcesResyncWithoutLoss) {
   StartPrimary();
   StartFollower();
-  ASSERT_TRUE(WaitForApplied(0));
+  ASSERT_TRUE(follower_->WaitForApplied(0, kWaitMs));
   ASSERT_TRUE(fault::ArmFromSpec("repl.tail=unavailable:count=1").ok());
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(primary_->Apply(Op("budget:0:" + std::to_string(120 + i)))
                     .applied);
   }
-  ASSERT_TRUE(WaitForApplied(4));
+  ASSERT_TRUE(follower_->WaitForApplied(4, kWaitMs));
   EXPECT_EQ(StateOf(*follower_->service()), StateOf(*primary_));
   // The poisoned row tore the session; the follower reconnected.
   EXPECT_GE(follower_->stats().reconnects, 1u);
@@ -410,7 +413,7 @@ TEST_F(ReplTest, TailFaultForcesResyncWithoutLoss) {
 TEST_F(ReplTest, PromoteFaultAbortsThenSucceeds) {
   StartPrimary();
   StartFollower();
-  ASSERT_TRUE(WaitForApplied(0));
+  ASSERT_TRUE(follower_->WaitForApplied(0, kWaitMs));
   source_->Stop();
   server_->Stop();
   primary_.reset();

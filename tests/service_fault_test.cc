@@ -29,14 +29,13 @@ class ServiceFaultTest : public ::testing::Test {
   void SetUp() override { fault::Registry::Global().Reset(); }
   void TearDown() override { fault::Registry::Global().Reset(); }
 
-  // A journaled service with instant (sleep-free) retries for tests.
+  // A journaled service; its retries sleep the production backoff (ms).
   Result<std::unique_ptr<PlanningService>> MakeService(
       const std::string& journal_name) {
     journal_path_ = Tmp(journal_name);
     std::remove(journal_path_.c_str());
     ServiceOptions options;
     options.journal_path = journal_path_;
-    options.journal_backoff_initial_ms = 0;
     return PlanningService::Create(MakePaperInstance(), MakePaperPlan(),
                                    options);
   }

@@ -43,7 +43,6 @@
 // solver benchmarks.
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -67,6 +66,7 @@
 #include <vector>
 
 #include "common/flags.h"
+#include "net/client.h"
 #include "net/frame.h"
 #include "obs/metrics.h"
 #include "service/jsonl.h"
@@ -681,76 +681,33 @@ class Driver {
 // Blocking control connection (handshake + drain/stats/shutdown)
 // ---------------------------------------------------------------------------
 
-class ControlClient {
- public:
-  bool Connect(const sockaddr_in& addr) {
-    fd_ = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    if (connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-      close(fd_);
-      fd_ = -1;
-      return false;
-    }
-    if (!SendFrame(net::FrameType::kHello, "{}")) return false;
+/// Per-frame wait on the control channel: generous, because a drain
+/// returns only once the server's writer queue is empty.
+constexpr int kControlTimeoutMs = 60000;
+
+/// Connects `client` to host:port and runs the Hello/Welcome handshake.
+bool OpenControl(const std::string& host, int port, net::FrameClient* client) {
+  return client->Connect(host, port).ok() &&
+         client->Handshake(kControlTimeoutMs).ok();
+}
+
+/// Sends one request and returns the first Response payload ("" on
+/// transport failure). Status frames (e.g. saturation) are retried a few
+/// times — the control channel runs after the load stops, so the queue
+/// drains quickly.
+std::string ControlRequest(net::FrameClient* client, const std::string& line) {
+  for (int attempt = 0; attempt < 50; ++attempt) {
     net::Frame frame;
-    return RecvFrame(&frame) && frame.type == net::FrameType::kWelcome;
-  }
-
-  /// Sends one request and returns the first Response payload ("" on
-  /// transport failure). Status frames (e.g. saturation) are retried a few
-  /// times — the control channel runs after the load stops, so the queue
-  /// drains quickly.
-  std::string Request(const std::string& line) {
-    for (int attempt = 0; attempt < 50; ++attempt) {
-      if (!SendFrame(net::FrameType::kRequest, line)) return "";
-      net::Frame frame;
-      if (!RecvFrame(&frame)) return "";
-      if (frame.type == net::FrameType::kResponse) return frame.payload;
-      if (frame.type != net::FrameType::kStatus) return "";
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    if (!client->Send(net::FrameType::kRequest, line).ok() ||
+        !client->Recv(&frame, kControlTimeoutMs).ok()) {
+      return "";
     }
-    return "";
+    if (frame.type == net::FrameType::kResponse) return frame.payload;
+    if (frame.type != net::FrameType::kStatus) return "";
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
-
-  ~ControlClient() {
-    if (fd_ >= 0) close(fd_);
-  }
-
- private:
-  bool SendFrame(net::FrameType type, const std::string& payload) {
-    const std::string bytes = net::EncodeFrame(type, payload);
-    size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n = write(fd_, bytes.data() + off, bytes.size() - off);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        return false;
-      }
-      off += static_cast<size_t>(n);
-    }
-    return true;
-  }
-
-  bool RecvFrame(net::Frame* out) {
-    char buffer[65536];
-    Status error;
-    while (true) {
-      const auto next = decoder_.Pop(out, &error);
-      if (next == net::FrameDecoder::Next::kFrame) return true;
-      if (next == net::FrameDecoder::Next::kError) return false;
-      const ssize_t n = read(fd_, buffer, sizeof(buffer));
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        return false;
-      }
-      decoder_.Feed(buffer, static_cast<size_t>(n));
-    }
-  }
-
-  int fd_ = -1;
-  net::FrameDecoder decoder_;
-};
+  return "";
+}
 
 // ---------------------------------------------------------------------------
 // Failover blackout monitor
@@ -763,8 +720,13 @@ class ControlClient {
 /// the measurement is independent of the load fleets' reconnect behavior.
 class FailoverMonitor {
  public:
-  FailoverMonitor(const sockaddr_in& primary, const sockaddr_in& audit)
-      : primary_(primary), audit_(audit), thread_([this] { Loop(); }) {}
+  FailoverMonitor(std::string primary_host, int primary_port,
+                  std::string audit_host, int audit_port)
+      : primary_host_(std::move(primary_host)),
+        primary_port_(primary_port),
+        audit_host_(std::move(audit_host)),
+        audit_port_(audit_port),
+        thread_([this] { Loop(); }) {}
 
   void Stop() {
     stop_.store(true, std::memory_order_relaxed);
@@ -777,10 +739,11 @@ class FailoverMonitor {
   bool promoted_seen() const { return promoted_seen_.load(); }
 
  private:
-  static bool ProbeStats(const sockaddr_in& addr, std::string* out) {
-    ControlClient probe;
-    if (!probe.Connect(addr)) return false;
-    *out = probe.Request("{\"cmd\":\"stats\"}");
+  static bool ProbeStats(const std::string& host, int port,
+                         std::string* out) {
+    net::FrameClient probe;
+    if (!OpenControl(host, port, &probe)) return false;
+    *out = ControlRequest(&probe, "{\"cmd\":\"stats\"}");
     return !out->empty();
   }
 
@@ -793,7 +756,7 @@ class FailoverMonitor {
       if (!primary_died) {
         // A probe failure only counts as death after at least one success:
         // the monitor may start before the primary finishes booting.
-        if (ProbeStats(primary_, &stats)) {
+        if (ProbeStats(primary_host_, primary_port_, &stats)) {
           primary_was_up = true;
         } else if (primary_was_up) {
           death = Clock::now();
@@ -803,7 +766,7 @@ class FailoverMonitor {
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
         continue;
       }
-      if (ProbeStats(audit_, &stats) &&
+      if (ProbeStats(audit_host_, audit_port_, &stats) &&
           stats.find("\"role\":\"primary\"") != std::string::npos) {
         blackout_ms_.store(std::chrono::duration<double, std::milli>(
                                Clock::now() - death)
@@ -815,8 +778,10 @@ class FailoverMonitor {
     }
   }
 
-  const sockaddr_in primary_;
-  const sockaddr_in audit_;
+  const std::string primary_host_;
+  const int primary_port_;
+  const std::string audit_host_;
+  const int audit_port_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> promoted_seen_{false};
   std::atomic<double> blackout_ms_{-1.0};
@@ -930,14 +895,13 @@ int Main(int argc, char** argv) {
     }
   }
 
-  sockaddr_in audit_addr = run.addr;
+  // Where the end-of-run audit (and the failover probe) goes; both hosts
+  // were checked above.
+  std::string audit_host = options.host;
+  int audit_port = options.port;
   if (options.audit_port > 0) {
-    const std::string audit_host =
-        options.replica_host.empty() ? options.host : options.replica_host;
-    if (!ResolveIPv4(audit_host, options.audit_port, &audit_addr)) {
-      std::fprintf(stderr, "error: audit host must be an IPv4 address\n");
-      return Usage();
-    }
+    if (!options.replica_host.empty()) audit_host = options.replica_host;
+    audit_port = options.audit_port;
   }
 
   int threads = options.threads;
@@ -982,7 +946,8 @@ int Main(int argc, char** argv) {
 
   std::unique_ptr<FailoverMonitor> monitor;
   if (options.audit_port > 0) {
-    monitor = std::make_unique<FailoverMonitor>(run.addr, audit_addr);
+    monitor = std::make_unique<FailoverMonitor>(options.host, options.port,
+                                                audit_host, audit_port);
   }
 
   std::this_thread::sleep_for(
@@ -1014,14 +979,14 @@ int Main(int argc, char** argv) {
   // --audit-port the audit goes to the (promoted) replica instead — after
   // a failover drill it must hold every op the primary acked.
   int64_t server_applied = -1;
-  ControlClient control;
-  bool control_ok =
-      control.Connect(options.audit_port > 0 ? audit_addr : run.addr);
+  net::FrameClient control;
+  bool control_ok = OpenControl(audit_host, audit_port, &control);
   if (control_ok) {
-    control_ok = !control.Request("{\"cmd\":\"drain\"}").empty();
+    control_ok = !ControlRequest(&control, "{\"cmd\":\"drain\"}").empty();
   }
   if (control_ok) {
-    const std::string stats = control.Request("{\"cmd\":\"stats\"}");
+    const std::string stats =
+        ControlRequest(&control, "{\"cmd\":\"stats\"}");
     if (!stats.empty()) server_applied = FindIntField(stats, "ops_applied");
   }
   const uint64_t acked = run.acked_applied.load();
@@ -1031,7 +996,7 @@ int Main(int argc, char** argv) {
           : 0;
   if (options.send_shutdown) {
     if (control_ok) {
-      control.Request("{\"cmd\":\"shutdown\"}");
+      ControlRequest(&control, "{\"cmd\":\"shutdown\"}");
     } else {
       std::fprintf(stderr,
                    "warning: control connection failed; server not shut "
