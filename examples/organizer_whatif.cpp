@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
                   result.status().ToString().c_str());
       continue;
     }
-    const int new_attendance = result->plan.attendance(event);
+    const int new_attendance = planner->plan().attendance(event);
     const bool viable =
         new_attendance >= planner->instance().event(event).lower_bound;
     std::printf("%-46s %12.2f %6lld %10d %s\n", scenario.description,

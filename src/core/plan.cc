@@ -54,6 +54,14 @@ double Plan::TotalUtility(const Instance& instance) const {
   return total;
 }
 
+int Plan::CountEventsBelowLowerBound(const Instance& instance) const {
+  int below = 0;
+  for (int j = 0; j < instance.num_events(); ++j) {
+    if (attendance(j) < instance.event(j).lower_bound) ++below;
+  }
+  return below;
+}
+
 void Plan::EnsureEventCapacity(int num_events) {
   if (num_events > this->num_events()) {
     event_users_.resize(static_cast<size_t>(num_events));

@@ -55,6 +55,10 @@ class Plan {
   /// Global utility U_P = sum_i sum_{e_j in P_i} mu(u_i, e_j) (Sec. II-A).
   double TotalUtility(const Instance& instance) const;
 
+  /// Number of events whose attendance is below their lower bound xi_j —
+  /// the shortfall the paper's Algorithm 4 works to repair.
+  int CountEventsBelowLowerBound(const Instance& instance) const;
+
   /// Grows the event dimension (after Instance::AddEvent).
   void EnsureEventCapacity(int num_events);
 

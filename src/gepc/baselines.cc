@@ -14,12 +14,8 @@ namespace {
 
 void Finalize(const Instance& instance, BaselineResult* result) {
   result->total_utility = result->plan.TotalUtility(instance);
-  result->events_below_lower_bound = 0;
-  for (int j = 0; j < instance.num_events(); ++j) {
-    if (result->plan.attendance(j) < instance.event(j).lower_bound) {
-      ++result->events_below_lower_bound;
-    }
-  }
+  result->events_below_lower_bound =
+      result->plan.CountEventsBelowLowerBound(instance);
   result->effective_utility = EffectiveUtility(instance, result->plan);
 }
 

@@ -103,11 +103,8 @@ Result<GepcResult> SolveGepc(const Instance& instance,
                                 ? AffinityUtility(instance, result.plan,
                                                   options.local_search.affinity)
                                 : result.total_utility;
-  for (int j = 0; j < instance.num_events(); ++j) {
-    if (result.plan.attendance(j) < instance.event(j).lower_bound) {
-      ++result.events_below_lower_bound;
-    }
-  }
+  result.events_below_lower_bound =
+      result.plan.CountEventsBelowLowerBound(instance);
   return result;
 }
 

@@ -59,13 +59,9 @@ Result<BatchResult> ApplyBatch(IncrementalPlanner* planner,
     batch.added_by_final_reoffer = planner->Reoffer();
   }
 
-  batch.plan = planner->plan();
-  batch.total_utility = batch.plan.TotalUtility(planner->instance());
-  for (int j = 0; j < planner->instance().num_events(); ++j) {
-    if (batch.plan.attendance(j) < planner->instance().event(j).lower_bound) {
-      ++batch.events_below_lower_bound;
-    }
-  }
+  batch.total_utility = planner->plan().TotalUtility(planner->instance());
+  batch.events_below_lower_bound =
+      planner->plan().CountEventsBelowLowerBound(planner->instance());
   return batch;
 }
 

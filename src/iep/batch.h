@@ -22,9 +22,8 @@ enum class BatchMode {
   kReordered,
 };
 
-/// Aggregate report of one batch.
+/// Aggregate report of one batch; the final plan is planner->plan().
 struct BatchResult {
-  Plan plan;                        ///< final plan (== planner->plan())
   int64_t negative_impact = 0;      ///< summed dif over all repairs
   double total_utility = 0.0;
   int events_below_lower_bound = 0;

@@ -7,30 +7,13 @@
 
 namespace gepc {
 
-void FinalizeIepResult(const Instance& instance, IepResult* result) {
-  result->total_utility = result->plan.TotalUtility(instance);
-  result->events_below_lower_bound = 0;
-  for (int j = 0; j < instance.num_events(); ++j) {
-    if (result->plan.attendance(j) < instance.event(j).lower_bound) {
-      ++result->events_below_lower_bound;
-    }
-  }
-}
-
-IepResult ApplyEtaDecrease(const Instance& instance, const Plan& previous,
-                           EventId event) {
-  IepResult result;
-  result.plan = previous;
-
-  const int attendance = previous.attendance(event);
+void ApplyEtaDecrease(const Instance& instance, EventId event, Plan* plan,
+                      IepResult* report) {
   const int eta = instance.event(event).upper_bound;
-  if (attendance <= eta) {  // Lines 1-2: nothing to repair
-    FinalizeIepResult(instance, &result);
-    return result;
-  }
+  if (plan->attendance(event) <= eta) return;  // Lines 1-2: nothing to repair
 
   // Line 4: attendees in decreasing order of utility for the event.
-  std::vector<UserId> attendees = previous.attendees_of(event);
+  std::vector<UserId> attendees = plan->attendees_of(event);
   std::sort(attendees.begin(), attendees.end(), [&](UserId a, UserId b) {
     const double ua = instance.utility(a, event);
     const double ub = instance.utility(b, event);
@@ -39,19 +22,14 @@ IepResult ApplyEtaDecrease(const Instance& instance, const Plan& previous,
   });
 
   // Line 5: the last n_j - eta'_j (lowest-utility) attendees lose the event.
-  std::vector<UserId> removed;
-  for (size_t k = static_cast<size_t>(eta); k < attendees.size(); ++k) {
-    result.plan.Remove(attendees[k], event);
-    removed.push_back(attendees[k]);
-    ++result.negative_impact;
+  attendees.erase(attendees.begin(), attendees.begin() + eta);
+  for (UserId i : attendees) {
+    plan->Remove(i, event);
+    ++report->negative_impact;
   }
 
   // Lines 6-8: re-offer other events to the displaced users ([4]).
-  TopUpStats stats = TopUpUsers(instance, removed, &result.plan);
-  result.added_by_topup = stats.added;
-
-  FinalizeIepResult(instance, &result);
-  return result;
+  report->added_by_topup += TopUpUsers(instance, attendees, plan).added;
 }
 
 }  // namespace gepc

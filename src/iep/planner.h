@@ -71,9 +71,9 @@ class IncrementalPlanner {
   const Instance& instance() const { return instance_; }
   const Plan& plan() const { return plan_; }
 
-  /// Applies `op` to the instance, repairs the plan incrementally, and
-  /// returns the step's report (dif, utility, shortfall). The planner's
-  /// internal plan advances to the repaired plan.
+  /// Applies `op` to the instance, repairs the planner's plan in place, and
+  /// returns the step's report (dif, utility, shortfall). A rejected op
+  /// leaves both untouched.
   Result<IepResult> Apply(const AtomicOp& op);
 
   /// Runs one global utility-ordered re-offer pass over all users

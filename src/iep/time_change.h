@@ -9,7 +9,8 @@
 namespace gepc {
 
 /// Algorithm 5 (ts/tt Changing) of Sec. IV-C. `instance` must already carry
-/// e_j's new holding time; `previous` is the plan being repaired.
+/// e_j's new holding time; `plan` is repaired in place and the step's dif
+/// and top-up additions are added into `report`.
 ///
 ///  1. Every attendee whose plan now conflicts with e_j drops it (uc_j
 ///     removals, each dif 1), and is re-offered other events.
@@ -18,8 +19,8 @@ namespace gepc {
 ///  3. If still short, Algorithm 4 transfers users from events with spare
 ///     attendees.
 /// Approximation ratio (paper): 1 / ((uc_j + xi_j - n'_j)(Uc_max - 1)).
-IepResult ApplyTimeChange(const Instance& instance, const Plan& previous,
-                          EventId event);
+void ApplyTimeChange(const Instance& instance, EventId event, Plan* plan,
+                     IepResult* report);
 
 }  // namespace gepc
 

@@ -43,26 +43,20 @@ bool SwapFeasible(const Instance& instance, const Plan& plan, UserId user,
 
 }  // namespace
 
-IepResult ApplyXiIncrease(const Instance& instance, const Plan& previous,
-                          EventId event) {
-  IepResult result;
-  result.plan = previous;
-
+void ApplyXiIncrease(const Instance& instance, EventId event, Plan* plan,
+                     IepResult* report) {
   const int xi = instance.event(event).lower_bound;
-  const int attendance = previous.attendance(event);
-  if (attendance >= xi) {  // Lines 1-2: already satisfied
-    FinalizeIepResult(instance, &result);
-    return result;
-  }
+  const int attendance = plan->attendance(event);
+  if (attendance >= xi) return;  // Lines 1-2: already satisfied
   const int needed = xi - attendance;
 
   // Lines 4-7: heap of utility deltas over (spare attendee, donor event).
   std::priority_queue<Transfer> heap;
   for (int j = 0; j < instance.num_events(); ++j) {
     if (j == event) continue;
-    if (previous.attendance(j) <= instance.event(j).lower_bound) continue;
-    for (UserId i : previous.attendees_of(j)) {
-      if (previous.Contains(i, event)) continue;
+    if (plan->attendance(j) <= instance.event(j).lower_bound) continue;
+    for (UserId i : plan->attendees_of(j)) {
+      if (plan->Contains(i, event)) continue;
       if (instance.utility(i, event) <= 0.0) continue;
       heap.push(Transfer{instance.utility(i, event) - instance.utility(i, j),
                          i, j});
@@ -80,32 +74,25 @@ IepResult ApplyXiIncrease(const Instance& instance, const Plan& previous,
     // Lazy invalidation replaces the paper's explicit heap deletions
     // (Lines 13 and 16): stale entries are skipped on pop.
     if (user_moved[static_cast<size_t>(t.user)]) continue;
-    if (!result.plan.Contains(t.user, t.source)) continue;
-    if (result.plan.attendance(t.source) <=
-        instance.event(t.source).lower_bound) {
+    if (!plan->Contains(t.user, t.source)) continue;
+    if (plan->attendance(t.source) <= instance.event(t.source).lower_bound) {
       continue;
     }
-    if (result.plan.Contains(t.user, event)) continue;
-    if (result.plan.attendance(event) >= instance.event(event).upper_bound) {
+    if (plan->Contains(t.user, event)) continue;
+    if (plan->attendance(event) >= instance.event(event).upper_bound) {
       break;  // target is full; nothing else can be transferred in
     }
-    if (!SwapFeasible(instance, result.plan, t.user, t.source, event)) {
-      continue;
-    }
-    result.plan.Remove(t.user, t.source);
-    result.plan.Add(t.user, event);
-    ++result.negative_impact;  // the user lost e_j' (gaining e_j is not dif)
+    if (!SwapFeasible(instance, *plan, t.user, t.source, event)) continue;
+    plan->Remove(t.user, t.source);
+    plan->Add(t.user, event);
+    ++report->negative_impact;  // the user lost e_j' (gaining e_j is not dif)
     user_moved[static_cast<size_t>(t.user)] = true;
     moved.push_back(t.user);
     ++transferred;
   }
 
   // Lines 17-19: re-offer other events to the moved users ([4]).
-  TopUpStats stats = TopUpUsers(instance, moved, &result.plan);
-  result.added_by_topup = stats.added;
-
-  FinalizeIepResult(instance, &result);
-  return result;
+  report->added_by_topup += TopUpUsers(instance, moved, plan).added;
 }
 
 }  // namespace gepc

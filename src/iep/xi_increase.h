@@ -9,7 +9,8 @@
 namespace gepc {
 
 /// Algorithm 4 (xi Increasing) of Sec. IV-B. `instance` must already carry
-/// the increased lower bound xi'_j; `previous` is the plan being repaired.
+/// the increased lower bound xi'_j; `plan` is repaired in place and the
+/// step's dif and top-up additions are added into `report`.
 ///
 /// If n_j >= xi'_j nothing changes. Otherwise users are transferred to e_j
 /// from events with spare attendees (n_j' > xi_j'): a max-heap over the
@@ -21,8 +22,8 @@ namespace gepc {
 /// reached the event keeps a reported shortfall — the paper's algorithms
 /// are best-effort in the same way.
 /// Approximation ratio (paper): 1 / ((xi'_j - n_j)(Uc_max - 2)).
-IepResult ApplyXiIncrease(const Instance& instance, const Plan& previous,
-                          EventId event);
+void ApplyXiIncrease(const Instance& instance, EventId event, Plan* plan,
+                     IepResult* report);
 
 }  // namespace gepc
 

@@ -2,14 +2,6 @@
 
 namespace gepc {
 
-int CountEventsBelowLowerBound(const Instance& instance, const Plan& plan) {
-  int below = 0;
-  for (int j = 0; j < instance.num_events(); ++j) {
-    if (plan.attendance(j) < instance.event(j).lower_bound) ++below;
-  }
-  return below;
-}
-
 std::shared_ptr<const ServiceSnapshot> MakeServiceSnapshot(
     const Instance& instance, const Plan& plan, uint64_t version) {
   auto snapshot = std::make_shared<ServiceSnapshot>();
@@ -19,7 +11,7 @@ std::shared_ptr<const ServiceSnapshot> MakeServiceSnapshot(
   snapshot->total_utility = plan.TotalUtility(instance);
   snapshot->total_assignments = plan.TotalAssignments();
   snapshot->events_below_lower_bound =
-      CountEventsBelowLowerBound(instance, plan);
+      plan.CountEventsBelowLowerBound(instance);
   return snapshot;
 }
 

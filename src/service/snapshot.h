@@ -36,10 +36,6 @@ struct ServiceSnapshot {
 std::shared_ptr<const ServiceSnapshot> MakeServiceSnapshot(
     const Instance& instance, const Plan& plan, uint64_t version);
 
-/// Number of events whose attendance is below their lower bound xi_j —
-/// the shortfall the paper's Algorithm 4 works to repair.
-int CountEventsBelowLowerBound(const Instance& instance, const Plan& plan);
-
 }  // namespace gepc
 
 #endif  // GEPC_SERVICE_SNAPSHOT_H_

@@ -373,11 +373,8 @@ Result<GepcResult> SolveSharded(const Instance& instance,
   result.affinity_utility =
       affinity.Armed() ? AffinityUtility(instance, result.plan, affinity)
                        : result.total_utility;
-  for (int j = 0; j < m; ++j) {
-    if (result.plan.attendance(j) < instance.event(j).lower_bound) {
-      ++result.events_below_lower_bound;
-    }
-  }
+  result.events_below_lower_bound =
+      result.plan.CountEventsBelowLowerBound(instance);
   return result;
 }
 

@@ -159,11 +159,7 @@ DayMetrics Snapshot(int day, const Instance& instance, const Plan& plan,
   metrics.affinity_utility = affinity.Armed()
                                  ? AffinityUtility(instance, plan, affinity)
                                  : metrics.total_utility;
-  for (int j = 0; j < instance.num_events(); ++j) {
-    if (plan.attendance(j) < instance.event(j).lower_bound) {
-      ++metrics.events_below_lower_bound;
-    }
-  }
+  metrics.events_below_lower_bound = plan.CountEventsBelowLowerBound(instance);
   return metrics;
 }
 

@@ -39,7 +39,7 @@ TEST(BatchTest, SequentialMatchesRepeatedApply) {
   IncrementalPlanner batched = MakePlanner();
   auto batch = ApplyBatch(&batched, ops, BatchMode::kSequential);
   ASSERT_TRUE(batch.ok()) << batch.status();
-  EXPECT_TRUE(batch->plan == manual.plan());
+  EXPECT_TRUE(batched.plan() == manual.plan());
   EXPECT_EQ(batch->negative_impact, manual_dif);
   EXPECT_EQ(batch->ops_applied, 2);
 }
@@ -57,7 +57,7 @@ TEST(BatchTest, ReorderedEndsFeasible) {
   ValidationOptions options;
   options.check_lower_bounds = false;
   EXPECT_TRUE(
-      ValidatePlan(planner.instance(), batch->plan, options).ok());
+      ValidatePlan(planner.instance(), planner.plan(), options).ok());
   EXPECT_EQ(batch->ops_applied, 3);
 }
 
@@ -66,7 +66,7 @@ TEST(BatchTest, EmptyBatchIsNoop) {
   const Plan before = planner.plan();
   auto batch = ApplyBatch(&planner, {}, BatchMode::kSequential);
   ASSERT_TRUE(batch.ok());
-  EXPECT_TRUE(batch->plan == before);
+  EXPECT_TRUE(planner.plan() == before);
   EXPECT_EQ(batch->negative_impact, 0);
   EXPECT_EQ(batch->ops_applied, 0);
 }
@@ -105,8 +105,8 @@ TEST(BatchTest, ReorderedRunsRemovalsBeforeDemands) {
   IncrementalPlanner reordered = MakePlanner();
   auto reord = ApplyBatch(&reordered, ops, BatchMode::kReordered);
   ASSERT_TRUE(seq.ok() && reord.ok());
-  EXPECT_EQ(reord->plan.attendance(kE4), 3);
-  EXPECT_LE(reord->plan.attendance(kE2), 2);
+  EXPECT_EQ(reordered.plan().attendance(kE4), 3);
+  EXPECT_LE(reordered.plan().attendance(kE2), 2);
   EXPECT_LE(reord->negative_impact, seq->negative_impact + 1);
 }
 
@@ -140,8 +140,8 @@ TEST(BatchTest, RandomBatchesKeepInvariants) {
     ASSERT_TRUE(batch.ok());
     ValidationOptions options;
     options.check_lower_bounds = false;
-    EXPECT_TRUE(
-        ValidatePlan(planner->instance(), batch->plan, options).ok());
+    EXPECT_TRUE(ValidatePlan(planner->instance(), planner->plan(), options)
+                    .ok());
     EXPECT_GE(batch->negative_impact, 0);
   }
 }
@@ -160,7 +160,7 @@ TEST(BatchTest, ReofferReportsAdditions) {
   ValidationOptions options;
   options.check_lower_bounds = false;
   EXPECT_TRUE(
-      ValidatePlan(planner.instance(), batch->plan, options).ok());
+      ValidatePlan(planner.instance(), planner.plan(), options).ok());
 }
 
 }  // namespace

@@ -120,7 +120,7 @@ TEST(IntegrationTest, IncrementalDisturbsFewPlansOnEtaDecrease) {
   int untouched = 0;
   for (int i = 0; i < before.num_users(); ++i) {
     std::vector<EventId> a = before.events_of(i);
-    std::vector<EventId> b = result->plan.events_of(i);
+    std::vector<EventId> b = planner->plan().events_of(i);
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
     if (a == b) ++untouched;

@@ -34,7 +34,7 @@ TEST(MultiOpSequenceTest, TightenThenRelaxEtaRecoversCapacityUse) {
   auto relaxed = planner->Apply(AtomicOp::UpperBoundChange(kE4, 5));
   ASSERT_TRUE(relaxed.ok());
   EXPECT_EQ(relaxed->negative_impact, 0);
-  EXPECT_GE(relaxed->plan.attendance(kE4), 1);
+  EXPECT_GE(planner->plan().attendance(kE4), 1);
 }
 
 TEST(MultiOpSequenceTest, RepeatedXiIncreasesSaturateAtEta) {
@@ -44,7 +44,7 @@ TEST(MultiOpSequenceTest, RepeatedXiIncreasesSaturateAtEta) {
   for (int xi = 2; xi <= 5; ++xi) {
     auto result = planner->Apply(AtomicOp::LowerBoundChange(kE4, xi));
     ASSERT_TRUE(result.ok()) << "xi=" << xi;
-    EXPECT_LE(result->plan.attendance(kE4), 5);
+    EXPECT_LE(planner->plan().attendance(kE4), 5);
   }
   // eta_4 = 5, so attendance can never exceed 5 no matter how xi moved.
   EXPECT_LE(planner->plan().attendance(kE4), 5);
@@ -62,12 +62,12 @@ TEST(MultiOpSequenceTest, ZeroThenRestoreUtility) {
   EXPECT_TRUE(planner->plan().Contains(2, kE4));
   auto restored = planner->Apply(AtomicOp::UtilityChange(2, kE2, 0.7));
   ASSERT_TRUE(restored.ok());
-  EXPECT_FALSE(restored->plan.Contains(2, kE2));
+  EXPECT_FALSE(planner->plan().Contains(2, kE2));
   EXPECT_EQ(restored->negative_impact, 0);
   ValidationOptions validation;
   validation.check_lower_bounds = false;
   EXPECT_TRUE(
-      ValidatePlan(planner->instance(), restored->plan, validation).ok());
+      ValidatePlan(planner->instance(), planner->plan(), validation).ok());
 }
 
 TEST(MultiOpSequenceTest, FiftyRandomOpsNeverBreakFeasibility) {

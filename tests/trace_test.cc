@@ -70,7 +70,7 @@ TEST(TraceTest, ReplayedTraceMatchesDirectApplication) {
   auto a = ApplyBatch(&*direct, ops);
   auto b = ApplyBatch(&*replayed, *loaded);
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_TRUE(a->plan == b->plan);
+  EXPECT_TRUE(direct->plan() == replayed->plan());
   EXPECT_EQ(a->negative_impact, b->negative_impact);
   EXPECT_DOUBLE_EQ(a->total_utility, b->total_utility);
 }

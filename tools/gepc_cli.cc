@@ -389,14 +389,9 @@ int CmdApply(int argc, char** argv) {
         if (!report.ok()) return Fail(report.status().ToString());
       }
     }
-    batch.plan = planner->plan();
-    batch.total_utility = batch.plan.TotalUtility(planner->instance());
-    for (int j = 0; j < planner->instance().num_events(); ++j) {
-      if (batch.plan.attendance(j) <
-          planner->instance().event(j).lower_bound) {
-        ++batch.events_below_lower_bound;
-      }
-    }
+    batch.total_utility = planner->plan().TotalUtility(planner->instance());
+    batch.events_below_lower_bound =
+        planner->plan().CountEventsBelowLowerBound(planner->instance());
     shard_stats = tracker.stats();
     final_skew = tracker.Skew();
     boundary_users = tracker.partition().boundary_users.size();
@@ -434,12 +429,12 @@ int CmdApply(int argc, char** argv) {
                 boundary_users);
   }
   std::printf("changed plans:\n%s",
-              DiffPlans(planner->instance(), before_plan, batch.plan)
+              DiffPlans(planner->instance(), before_plan, planner->plan())
                   .ToString()
                   .c_str());
 
   if (!plan_out.empty()) {
-    const Status saved = SavePlanToFile(batch.plan, plan_out);
+    const Status saved = SavePlanToFile(planner->plan(), plan_out);
     if (!saved.ok()) return Fail(saved.ToString());
     std::printf("plan written to:  %s\n", plan_out.c_str());
   }
