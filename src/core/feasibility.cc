@@ -65,18 +65,15 @@ Status ValidatePlan(const Instance& instance, const Plan& plan,
 
   for (int i = 0; i < instance.num_users(); ++i) {
     const std::vector<EventId>& events = plan.events_of(i);
-    if (options.check_time_conflicts && HasTimeConflict(instance, events)) {
+    if (HasTimeConflict(instance, events)) {
       return Status::Infeasible("user " + std::to_string(i) +
                                 " has time-conflicting events in their plan");
     }
-    if (options.check_travel_budgets) {
-      const double cost = TourCost(instance, i, events);
-      if (cost > instance.user(i).budget + options.budget_epsilon) {
-        return Status::Infeasible(
-            "user " + std::to_string(i) + " travel cost " +
-            std::to_string(cost) + " exceeds budget " +
-            std::to_string(instance.user(i).budget));
-      }
+    const double cost = TourCost(instance, i, events);
+    if (cost > instance.user(i).budget + kBudgetEpsilon) {
+      return Status::Infeasible("user " + std::to_string(i) + " travel cost " +
+                                std::to_string(cost) + " exceeds budget " +
+                                std::to_string(instance.user(i).budget));
     }
     if (options.check_positive_utility) {
       for (EventId j : events) {
@@ -91,8 +88,7 @@ Status ValidatePlan(const Instance& instance, const Plan& plan,
 
   for (int j = 0; j < instance.num_events(); ++j) {
     const int attendance = plan.attendance(j);
-    if (options.check_upper_bounds &&
-        attendance > instance.event(j).upper_bound) {
+    if (attendance > instance.event(j).upper_bound) {
       return Status::Infeasible(
           "event " + std::to_string(j) + " has " + std::to_string(attendance) +
           " attendees, above its upper bound " +
@@ -109,13 +105,13 @@ Status ValidatePlan(const Instance& instance, const Plan& plan,
   return Status::OK();
 }
 
-bool CanAttend(const Instance& instance, const Plan& plan, UserId i, EventId j,
-               double budget_epsilon) {
+bool CanAttend(const Instance& instance, const Plan& plan, UserId i,
+               EventId j) {
   if (plan.Contains(i, j)) return false;
   if (instance.utility(i, j) <= 0.0) return false;
   if (ConflictsWithPlan(instance, plan, i, j)) return false;
   const double cost = TravelCostWithEvent(instance, plan, i, j);
-  return cost <= instance.user(i).budget + budget_epsilon;
+  return cost <= instance.user(i).budget + kBudgetEpsilon;
 }
 
 double TravelCostWithEvent(const Instance& instance, const Plan& plan,

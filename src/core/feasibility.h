@@ -10,6 +10,10 @@
 
 namespace gepc {
 
+/// Absolute slack on every travel-budget comparison: tours are summed in
+/// floating point, so a plan exactly at its budget may overshoot by an ulp.
+inline constexpr double kBudgetEpsilon = 1e-9;
+
 /// Travel cost D_i of user i attending `events`: the Euclidean tour
 /// l_ui -> e_(1) -> ... -> e_(k) -> l_ui with events visited in start-time
 /// order (Sec. II). An empty set costs 0.
@@ -27,18 +31,14 @@ bool HasTimeConflict(const Instance& instance,
 bool ConflictsWithPlan(const Instance& instance, const Plan& plan, UserId i,
                        EventId j);
 
-/// Which GEPC constraints ValidatePlan enforces. The participation lower
-/// bound is optional because partial plans (mid-solve, or the xi-GEPC
-/// sub-problem with relabelled bounds) legitimately violate it.
+/// Optional checks of ValidatePlan. Time conflicts, travel budgets and
+/// upper bounds are always checked. The participation lower bound is
+/// optional because partial plans (mid-solve, or the xi-GEPC sub-problem
+/// with relabelled bounds) legitimately violate it.
 struct ValidationOptions {
-  bool check_time_conflicts = true;
-  bool check_travel_budgets = true;
-  bool check_upper_bounds = true;
   bool check_lower_bounds = true;
   /// Reject assignments with mu(u_i, e_j) == 0 ("cannot attend", Sec. II).
   bool check_positive_utility = false;
-  /// Absolute slack allowed on budget comparisons (floating-point tours).
-  double budget_epsilon = 1e-9;
 };
 
 /// Checks the four GEPC constraints of Definition 1 against `plan`.
@@ -52,7 +52,7 @@ Status ValidatePlan(const Instance& instance, const Plan& plan,
 /// tour still fits budget B_i. Event capacity is NOT checked here (solvers
 /// track remaining capacity themselves).
 bool CanAttend(const Instance& instance, const Plan& plan, UserId i,
-               EventId j, double budget_epsilon = 1e-9);
+               EventId j);
 
 /// Tour cost of P_i if event j were added (no feasibility check).
 double TravelCostWithEvent(const Instance& instance, const Plan& plan,

@@ -54,7 +54,7 @@ Itinerary BuildItinerary(const Instance& instance, const Plan& plan,
   }
   itinerary.total_cost = itinerary.total_travel + itinerary.total_fees;
   itinerary.within_budget =
-      itinerary.total_cost <= itinerary.budget + 1e-9;
+      itinerary.total_cost <= itinerary.budget + kBudgetEpsilon;
   return itinerary;
 }
 

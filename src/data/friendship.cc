@@ -7,6 +7,16 @@
 
 namespace gepc {
 
+namespace {
+
+/// Fraction of edges drawn with the distance-biased kernel; the rest are
+/// uniform long-range ties.
+constexpr double kLocalityBias = 0.7;
+/// Gaussian radius r of the distance kernel exp(-d^2 / (2 r^2)).
+constexpr double kLocalityRadius = 15.0;
+
+}  // namespace
+
 bool FriendshipGraph::AddEdge(UserId a, UserId b) {
   if (a == b) return false;
   std::vector<UserId>& fa = adjacency_[static_cast<size_t>(a)];
@@ -47,8 +57,7 @@ FriendshipGraph GenerateFriendshipGraph(const std::vector<User>& users,
   Rng rng(config.seed * 0x9E3779B97F4A7C15ULL + 0x5EEDULL);
   const int64_t target_edges = std::max<int64_t>(
       1, static_cast<int64_t>(config.mean_degree * n / 2.0));
-  const double two_r2 =
-      2.0 * config.locality_radius * config.locality_radius;
+  constexpr double two_r2 = 2.0 * kLocalityRadius * kLocalityRadius;
 
   // Draw edges until the target is met. Local ties use rejection sampling
   // against the Gaussian distance kernel; a bounded attempt budget keeps
@@ -60,7 +69,7 @@ FriendshipGraph GenerateFriendshipGraph(const std::vector<User>& users,
     UserId b = static_cast<UserId>(
         rng.UniformUint64(static_cast<uint64_t>(n)));
     if (a == b) continue;
-    if (rng.Bernoulli(config.locality_bias) && two_r2 > 0.0) {
+    if (rng.Bernoulli(kLocalityBias)) {
       const double d2 = SquaredDistance(users[static_cast<size_t>(a)].location,
                                         users[static_cast<size_t>(b)].location);
       if (rng.UniformDouble() > std::exp(-d2 / two_r2)) continue;

@@ -59,11 +59,6 @@ class FriendshipGraph {
 struct FriendshipConfig {
   /// Target mean degree (edges ~= num_users * mean_degree / 2).
   double mean_degree = 4.0;
-  /// Fraction of edges drawn with the distance-biased kernel; the rest are
-  /// uniform long-range ties.
-  double locality_bias = 0.7;
-  /// Gaussian radius of the distance kernel exp(-d^2 / (2 r^2)).
-  double locality_radius = 15.0;
   uint64_t seed = 7;
 };
 

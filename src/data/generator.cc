@@ -11,6 +11,30 @@ namespace gepc {
 
 namespace {
 
+// Shape of the synthetic Meetup crawl (DESIGN.md). These are fixed by the
+// reproduction, not run-time inputs.
+
+/// Tag vocabulary and tags per user / per group; utility depends on the
+/// overlap of a user's tags with the tags of the group hosting the event.
+constexpr int kVocabularySize = 120;
+constexpr int kMinTagsPerUser = 3;
+constexpr int kMaxTagsPerUser = 8;
+constexpr int kMinTagsPerGroup = 3;
+constexpr int kMaxTagsPerGroup = 8;
+
+/// Locations cluster around this many Gaussian hotspots (downtown,
+/// campus, ...) of this standard deviation.
+constexpr int kNumHotspots = 5;
+constexpr double kHotspotStddev = 8.0;
+
+/// Largest cluster of mutually conflicting events.
+constexpr int kMaxConflictCluster = 3;
+
+/// Each xi_j is capped at this fraction of the users who could attend e_j
+/// alone (positive utility and a round trip within budget), so generated
+/// instances have satisfiable lower bounds with high probability.
+constexpr double kReachabilityCapFraction = 0.5;
+
 /// Samples a location around one of `hotspots`, clamped into `box`.
 Point SampleLocation(const std::vector<Point>& hotspots, double stddev,
                      const BoundingBox& box, Rng* rng) {
@@ -81,9 +105,6 @@ Result<Instance> GenerateInstance(const GeneratorConfig& config) {
   if (config.conflict_ratio < 0.0 || config.conflict_ratio > 1.0) {
     return Status::InvalidArgument("conflict_ratio must be in [0, 1]");
   }
-  if (config.max_conflict_cluster < 2) {
-    return Status::InvalidArgument("max_conflict_cluster must be >= 2");
-  }
   if (config.mean_eta < 1.0 || config.mean_xi < 0.0 ||
       config.mean_xi > config.mean_eta) {
     return Status::InvalidArgument(
@@ -102,7 +123,7 @@ Result<Instance> GenerateInstance(const GeneratorConfig& config) {
       BoundingBox::FromExtent(config.city_width, config.city_height);
 
   std::vector<Point> hotspots;
-  for (int h = 0; h < std::max(1, config.num_hotspots); ++h) {
+  for (int h = 0; h < kNumHotspots; ++h) {
     hotspots.push_back(Point{rng.UniformDouble(0.15, 0.85) * box.Width(),
                              rng.UniformDouble(0.15, 0.85) * box.Height()});
   }
@@ -114,15 +135,14 @@ Result<Instance> GenerateInstance(const GeneratorConfig& config) {
   users.reserve(static_cast<size_t>(config.num_users));
   for (int i = 0; i < config.num_users; ++i) {
     User u;
-    u.location = SampleLocation(hotspots, config.hotspot_stddev, box, &rng);
+    u.location = SampleLocation(hotspots, kHotspotStddev, box, &rng);
     u.budget = rng.UniformDouble(config.budget_min_fraction,
                                  config.budget_max_fraction) *
                diagonal;
     users.push_back(u);
     user_tags.push_back(TagVector::Sample(
-        config.vocabulary_size,
-        static_cast<int>(rng.UniformInt(config.min_tags_per_user,
-                                        config.max_tags_per_user)),
+        kVocabularySize,
+        static_cast<int>(rng.UniformInt(kMinTagsPerUser, kMaxTagsPerUser)),
         &rng));
   }
 
@@ -134,9 +154,8 @@ Result<Instance> GenerateInstance(const GeneratorConfig& config) {
   group_tags.reserve(static_cast<size_t>(num_groups));
   for (int g = 0; g < num_groups; ++g) {
     group_tags.push_back(TagVector::Sample(
-        config.vocabulary_size,
-        static_cast<int>(rng.UniformInt(config.min_tags_per_group,
-                                        config.max_tags_per_group)),
+        kVocabularySize,
+        static_cast<int>(rng.UniformInt(kMinTagsPerGroup, kMaxTagsPerGroup)),
         &rng));
   }
 
@@ -144,7 +163,7 @@ Result<Instance> GenerateInstance(const GeneratorConfig& config) {
   std::vector<int> group_of_event(static_cast<size_t>(config.num_events));
   for (int j = 0; j < config.num_events; ++j) {
     Event& e = events[static_cast<size_t>(j)];
-    e.location = SampleLocation(hotspots, config.hotspot_stddev, box, &rng);
+    e.location = SampleLocation(hotspots, kHotspotStddev, box, &rng);
     const double eta_lo = config.mean_eta * (1.0 - config.eta_spread);
     const double eta_hi = config.mean_eta * (1.0 + config.eta_spread);
     e.upper_bound = std::clamp(
@@ -173,8 +192,7 @@ Result<Instance> GenerateInstance(const GeneratorConfig& config) {
   size_t cursor = 0;
   while (static_cast<int>(cursor) < num_conflicting) {
     const int remaining = num_conflicting - static_cast<int>(cursor);
-    int size = static_cast<int>(
-        rng.UniformInt(2, std::max(2, config.max_conflict_cluster)));
+    int size = static_cast<int>(rng.UniformInt(2, kMaxConflictCluster));
     size = std::min(size, remaining);
     if (size == 1) size = 2;  // merge a trailing singleton into a pair
     size = std::min(size, config.num_events - static_cast<int>(cursor));
@@ -200,16 +218,13 @@ Result<Instance> GenerateInstance(const GeneratorConfig& config) {
   }
 
   // ---- Feasibility cap on lower bounds ----------------------------------
-  if (config.cap_xi_by_reachability) {
-    for (int j = 0; j < instance.num_events(); ++j) {
-      const int reachable = ReachableUsers(instance, j);
-      const int cap = static_cast<int>(config.reachability_cap_fraction *
-                                       static_cast<double>(reachable));
-      const Event& e = instance.event(j);
-      if (e.lower_bound > cap) {
-        GEPC_RETURN_IF_ERROR(
-            instance.set_event_bounds(j, cap, e.upper_bound));
-      }
+  for (int j = 0; j < instance.num_events(); ++j) {
+    const int reachable = ReachableUsers(instance, j);
+    const int cap = static_cast<int>(kReachabilityCapFraction *
+                                     static_cast<double>(reachable));
+    const Event& e = instance.event(j);
+    if (e.lower_bound > cap) {
+      GEPC_RETURN_IF_ERROR(instance.set_event_bounds(j, cap, e.upper_bound));
     }
   }
 

@@ -27,18 +27,11 @@ struct GeneratorConfig {
   /// Events are created by groups; utility depends on the group's tags.
   /// 0 = derive as max(4, num_events / 4).
   int num_groups = 0;
-  int vocabulary_size = 120;
-  int min_tags_per_user = 3;
-  int max_tags_per_user = 8;
-  int min_tags_per_group = 3;
-  int max_tags_per_group = 8;
 
-  /// City rectangle [0, width] x [0, height]; locations cluster around
-  /// `num_hotspots` Gaussian hotspots (downtown, campus, ...).
+  /// City rectangle [0, width] x [0, height]; locations cluster around a
+  /// few Gaussian hotspots (downtown, campus, ...).
   double city_width = 100.0;
   double city_height = 100.0;
-  int num_hotspots = 5;
-  double hotspot_stddev = 8.0;
 
   /// Travel budget B_i ~ U[budget_min_fraction, budget_max_fraction] of the
   /// city diagonal.
@@ -48,11 +41,12 @@ struct GeneratorConfig {
   /// Fraction of events placed into mutually conflicting clusters — the
   /// "conflict ratio" of the paper's Table IV (0.25 for all four cities).
   double conflict_ratio = 0.25;
-  /// Largest cluster of mutually conflicting events (>= 2).
-  int max_conflict_cluster = 3;
 
   /// Participation bounds: eta_j ~ U[(1-spread), (1+spread)] * mean_eta,
-  /// xi_j ~ U[0, 2 * mean_xi] clamped to [0, eta_j].
+  /// xi_j ~ U[0, 2 * mean_xi] clamped to [0, eta_j], then capped at half
+  /// the users who could attend e_j alone (positive utility and a round
+  /// trip within budget), so lower bounds are satisfiable with high
+  /// probability.
   double mean_eta = 50.0;
   double eta_spread = 0.5;
   double mean_xi = 10.0;
@@ -61,13 +55,6 @@ struct GeneratorConfig {
   /// [0, 2 * mean_fee] and charged against travel budgets. 0 (default)
   /// keeps the paper's pure-travel cost model.
   double mean_fee = 0.0;
-
-  /// When true (default), each xi_j is additionally capped at
-  /// `reachability_cap_fraction` of the users who could attend e_j alone
-  /// (positive utility and a round trip within budget), so generated
-  /// instances have satisfiable lower bounds with high probability.
-  bool cap_xi_by_reachability = true;
-  double reachability_cap_fraction = 0.5;
 
   /// How utilities are derived from tag documents (+ optional distance
   /// decay); the default is the paper-style cosine kernel.

@@ -8,6 +8,9 @@ namespace gepc {
 
 namespace {
 
+/// Largest machine count the exact search accepts (GAP is NP-hard).
+constexpr int kMaxMachines = 16;
+
 class GapSearch {
  public:
   GapSearch(const GapInstance& gap, const ExactGapOptions& options)
@@ -106,7 +109,7 @@ class GapSearch {
 
 Result<ExactGapResult> SolveGapExact(const GapInstance& gap,
                                      const ExactGapOptions& options) {
-  if (gap.num_machines() > options.max_machines ||
+  if (gap.num_machines() > kMaxMachines ||
       gap.num_jobs() > options.max_jobs) {
     return Status::InvalidArgument(
         "GAP instance too large for the exact solver (raise limits)");

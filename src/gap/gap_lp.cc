@@ -11,6 +11,12 @@ namespace gepc {
 
 namespace {
 
+/// Initial step size of the MWU multiplier update.
+constexpr double kMwuStep = 1.0;
+/// Fraction of the final MWU iterations averaged into the output
+/// (Polyak-style tail averaging); in (0, 1].
+constexpr double kMwuTailFraction = 0.5;
+
 /// One workspace per thread: consecutive GAP relaxations (and the retry
 /// after a candidate-cap infeasibility) share a single tableau arena, so the
 /// per-solve allocation count is O(1) once the arena has grown to the
@@ -144,8 +150,7 @@ Result<FractionalAssignment> SolveGapLpSimplex(const GapInstance& gap,
 Result<FractionalAssignment> SolveGapLpMwu(const GapInstance& gap,
                                            const GapMwuOptions& options) {
   GEPC_RETURN_IF_ERROR(gap.Validate());
-  if (options.iterations <= 0 || options.tail_fraction <= 0.0 ||
-      options.tail_fraction > 1.0) {
+  if (options.iterations <= 0) {
     return Status::InvalidArgument("bad MWU options");
   }
   const int n = gap.num_machines();
@@ -162,7 +167,7 @@ Result<FractionalAssignment> SolveGapLpMwu(const GapInstance& gap,
       static_cast<size_t>(m));
   const int tail_start = options.iterations -
                          static_cast<int>(options.iterations *
-                                          options.tail_fraction);
+                                          kMwuTailFraction);
   int averaged = 0;
 
   std::vector<int> choice(static_cast<size_t>(m), -1);
@@ -190,7 +195,7 @@ Result<FractionalAssignment> SolveGapLpMwu(const GapInstance& gap,
 
     // Subgradient step on the load multipliers (normalized by capacity so
     // the step size is scale-free); diminishing step ~ 1/sqrt(t).
-    const double step = options.step / std::sqrt(static_cast<double>(t + 1));
+    const double step = kMwuStep / std::sqrt(static_cast<double>(t + 1));
     for (int i = 0; i < n; ++i) {
       const double cap = std::max(gap.capacity(i), 1e-12);
       const double violation = (loads[static_cast<size_t>(i)] - cap) / cap;

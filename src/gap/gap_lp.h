@@ -32,11 +32,6 @@ Result<FractionalAssignment> SolveGapLpSimplex(const GapInstance& gap,
 struct GapMwuOptions {
   /// Subgradient / multiplicative-weight iterations.
   int iterations = 300;
-  /// Initial step size for the multiplier update.
-  double step = 1.0;
-  /// Fraction of the final iterations averaged into the output (Polyak-style
-  /// tail averaging); in (0, 1].
-  double tail_fraction = 0.5;
   /// Restrict each job's oracle to its `max_candidates_per_job` cheapest
   /// eligible machines (0 = all); the oracle cost drops from
   /// O(jobs * machines) to O(jobs * cap) per iteration.

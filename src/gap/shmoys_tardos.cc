@@ -15,6 +15,11 @@ namespace {
 
 constexpr double kFracEps = 1e-9;
 
+/// kAuto also switches to MWU when the estimated dense tableau (one row per
+/// job and per touched machine) exceeds this many cells: it keeps the dense
+/// simplex off instances where a single pivot would already be prohibitive.
+constexpr int64_t kAutoMaxTableauCells = 20'000'000;
+
 }  // namespace
 
 Result<GapAssignment> RoundFractional(const GapInstance& gap,
@@ -142,7 +147,7 @@ Result<GapAssignment> SolveGapShmoysTardos(const GapInstance& gap,
         std::min(static_cast<int64_t>(gap.num_machines()), pairs);
     const int64_t cols = pairs + rows;
     const bool simplex_fits = pairs <= options.auto_simplex_limit &&
-                              rows * cols <= options.auto_max_tableau_cells;
+                              rows * cols <= kAutoMaxTableauCells;
     engine = simplex_fits ? GapLpEngine::kSimplex : GapLpEngine::kMwu;
   }
 

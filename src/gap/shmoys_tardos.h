@@ -30,13 +30,9 @@ enum class GapLpEngine {
 struct GapSolveOptions {
   GapLpEngine engine = GapLpEngine::kAuto;
   /// kAuto switches to MWU when (#eligible pairs after candidate capping)
-  /// exceeds this...
+  /// exceeds this, or when the dense simplex tableau would be too large
+  /// (shmoys_tardos.cc).
   int64_t auto_simplex_limit = 200'000;
-  /// ...or when the estimated dense tableau (rows x columns, with one row
-  /// per job and per touched machine) exceeds this many cells. Keeps the
-  /// dense simplex off instances where a single pivot would already be
-  /// prohibitive.
-  int64_t auto_max_tableau_cells = 20'000'000;
   GapLpOptions lp;
   GapMwuOptions mwu;
 };

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "core/feasibility.h"
+
 namespace gepc {
 
 namespace {
@@ -91,7 +93,7 @@ ConflictAdjustStats AdjustConflicts(const Instance& instance,
       const auto& held = copy_plan->copies_of_user[static_cast<size_t>(i)];
       if (held.empty()) break;
       const double cost = CopyTourCost(instance, copies, i, held);
-      if (cost <= instance.user(i).budget + 1e-9) break;
+      if (cost <= instance.user(i).budget + kBudgetEpsilon) break;
       const int victim =
           *std::min_element(held.begin(), held.end(), [&](int a, int b) {
             const double ua = instance.utility(i, copies.event_of(a));

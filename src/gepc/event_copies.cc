@@ -71,7 +71,7 @@ bool CanHoldCopy(const Instance& instance, const CopyMap& copies,
     if (copies.CopiesConflict(instance, other, copy)) return false;
   }
   const double cost = CopyTourCost(instance, copies, i, held, copy);
-  return cost <= instance.user(i).budget + 1e-9;
+  return cost <= instance.user(i).budget + kBudgetEpsilon;
 }
 
 }  // namespace gepc

@@ -10,6 +10,10 @@ namespace gepc {
 
 namespace {
 
+/// Largest event count the search accepts (the menus allow more).
+constexpr int kMaxEvents = 14;
+static_assert(kMaxEvents <= kMaxUserMenuEvents);
+
 class Search {
  public:
   Search(const Instance& instance, const ExactOptions& options,
@@ -131,10 +135,8 @@ Result<ExactResult> SolveGepcExact(const Instance& instance,
                                    const ExactOptions& options) {
   GEPC_RETURN_IF_ERROR(instance.Validate());
   if (instance.num_users() > options.max_users ||
-      instance.num_events() > options.max_events ||
-      instance.num_events() > 31) {
-    return Status::InvalidArgument(
-        "instance too large for the exact solver (raise ExactOptions limits)");
+      instance.num_events() > kMaxEvents) {
+    return Status::InvalidArgument("instance too large for the exact solver");
   }
 
   // Menus are built through the budget-reachability grid: seeding each

@@ -13,9 +13,9 @@ namespace gepc {
 /// exponential and intended as a small-instance oracle for tests and for
 /// measuring the approximation ratios empirically).
 struct ExactOptions {
-  /// Refuse instances larger than this (kInvalidArgument).
+  /// Refuse instances with more users than this, or more than 14 events
+  /// (kInvalidArgument).
   int max_users = 12;
-  int max_events = 14;
   /// Abort the search beyond this many explored nodes (kInternal).
   int64_t max_nodes = 50'000'000;
 };

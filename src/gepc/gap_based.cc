@@ -18,15 +18,13 @@ Result<XiGepcResult> SolveXiGepcGapBased(const Instance& instance,
   XiGepcResult result{CopyPlan(n, num_copies), {}};
   if (num_copies == 0) return result;  // no lower bounds to satisfy
 
-  double mu_max = options.utility_scale;
-  if (mu_max <= 0.0) {
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < instance.num_events(); ++j) {
-        mu_max = std::max(mu_max, instance.utility(i, j));
-      }
+  double mu_max = 0.0;
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < instance.num_events(); ++j) {
+      mu_max = std::max(mu_max, instance.utility(i, j));
     }
-    if (mu_max <= 0.0) mu_max = 1.0;
   }
+  if (mu_max <= 0.0) mu_max = 1.0;
 
   // GAP reduction of Sec. III-A: machines = users, jobs = event copies.
   GapInstance gap(n, num_copies);

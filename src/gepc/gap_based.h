@@ -13,10 +13,6 @@ namespace gepc {
 struct GapBasedOptions {
   /// The eps of the reduction's budget relaxation T_i = (2 + eps) B_i.
   double epsilon = 0.1;
-  /// Cap on utility normalization: GAP costs are c = 1 - mu / mu_max so
-  /// they stay in [0, 1] as the analysis assumes; mu_max is computed from
-  /// the instance unless overridden here (> 0).
-  double utility_scale = 0.0;
   GapSolveOptions gap;
 };
 

@@ -7,14 +7,21 @@
 
 namespace gepc {
 
+namespace {
+
+/// Largest event count the formulation accepts (the menus allow more).
+constexpr int kMaxEvents = 14;
+static_assert(kMaxEvents <= kMaxUserMenuEvents);
+
+}  // namespace
+
 Result<ExactResult> SolveGepcIlp(const Instance& instance,
                                  const GepcIlpOptions& options) {
   GEPC_RETURN_IF_ERROR(instance.Validate());
   if (instance.num_users() > options.max_users ||
-      instance.num_events() > options.max_events ||
-      instance.num_events() > 31) {
+      instance.num_events() > kMaxEvents) {
     return Status::InvalidArgument(
-        "instance too large for the ILP formulation (raise limits)");
+        "instance too large for the ILP formulation");
   }
 
   const int n = instance.num_users();

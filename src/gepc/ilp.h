@@ -10,8 +10,9 @@ namespace gepc {
 
 /// Limits for the ILP formulation (exponential in events-per-user).
 struct GepcIlpOptions {
+  /// Refuse instances with more users than this, or more than 14 events
+  /// (kInvalidArgument).
   int max_users = 12;
-  int max_events = 14;
   MipOptions mip;
 };
 

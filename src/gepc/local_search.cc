@@ -9,6 +9,9 @@ namespace gepc {
 
 namespace {
 
+/// Minimum utility gain for a move to be accepted (guards float noise).
+constexpr double kMinGain = 1e-9;
+
 /// True iff user u can hold `candidate` after removing `without` (-1 keeps
 /// everything): conflict-free and within budget.
 bool FitsAfterSwap(const Instance& instance, const Plan& plan, UserId u,
@@ -22,7 +25,7 @@ bool FitsAfterSwap(const Instance& instance, const Plan& plan, UserId u,
   }
   events.push_back(candidate);
   return TourCost(instance, u, std::move(events)) <=
-         instance.user(u).budget + 1e-9;
+         instance.user(u).budget + kBudgetEpsilon;
 }
 
 }  // namespace
@@ -72,7 +75,7 @@ Result<LocalSearchStats> RefinePlan(const Instance& instance, Plan* plan,
         for (int j = 0; j < m && moves_left(); ++j) {
           double gain = instance.utility(i, j);
           if (social) gain += 2.0 * aff.lambda * friends_at(i, j);
-          if (gain <= options.min_gain) continue;
+          if (gain <= kMinGain) continue;
           if (plan->attendance(j) >= instance.event(j).upper_bound) continue;
           if (!CanAttend(instance, *plan, i, j)) continue;
           plan->Add(i, j);
@@ -98,7 +101,7 @@ Result<LocalSearchStats> RefinePlan(const Instance& instance, Plan* plan,
             double score_a = instance.utility(i, a);
             if (social) score_a += 2.0 * aff.lambda * friends_at(i, a);
             EventId best_b = kInvalidEvent;
-            double best_gain = options.min_gain;
+            double best_gain = kMinGain;
             for (int b = 0; b < m; ++b) {
               if (plan->Contains(i, b)) continue;
               double score_b = instance.utility(i, b);
@@ -138,7 +141,7 @@ Result<LocalSearchStats> RefinePlan(const Instance& instance, Plan* plan,
             double score_u = instance.utility(u, j);
             if (social) score_u += 2.0 * aff.lambda * friends_at(u, j);
             UserId best_v = kInvalidUser;
-            double best_gain = options.min_gain;
+            double best_gain = kMinGain;
             for (int v = 0; v < n; ++v) {
               if (plan->Contains(v, j)) continue;
               double score_v = instance.utility(v, j);

@@ -16,8 +16,6 @@ struct LocalSearchOptions {
   int max_passes = 8;
   /// Hard cap on accepted moves (0 = unlimited).
   int64_t max_moves = 0;
-  /// Minimum utility gain for a move to be accepted (guards float noise).
-  double min_gain = 1e-9;
   /// Enable the three move families independently (for ablations).
   bool enable_add = true;
   bool enable_replace = true;

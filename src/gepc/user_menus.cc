@@ -38,7 +38,7 @@ Result<UserMenu> BuildUserMenu(const Instance& instance, UserId i,
     for (int j = 0; j < m; ++j) {
       if (instance.utility(i, j) <= 0.0) continue;
       if (2.0 * instance.UserEventDistance(i, j) + instance.event(j).fee >
-          instance.user(i).budget + 1e-9) {
+          instance.user(i).budget + kBudgetEpsilon) {
         continue;
       }
       singles.push_back(j);
@@ -66,7 +66,7 @@ Result<UserMenu> BuildUserMenu(const Instance& instance, UserId i,
       if (conflict) continue;
       std::vector<EventId> grown = base;
       grown.push_back(j);
-      if (TourCost(instance, i, grown) > instance.user(i).budget + 1e-9) {
+      if (TourCost(instance, i, grown) > instance.user(i).budget + kBudgetEpsilon) {
         continue;
       }
       menu.subsets.push_back(mask | (1u << j));

@@ -222,7 +222,7 @@ Result<IepResult> IncrementalPlanner::Apply(const AtomicOp& op) {
       std::vector<EventId> starved;
       // Shed lowest-utility events until the tour fits the new budget.
       while (UserTravelCost(instance_, plan_, op.user) >
-             instance_.user(op.user).budget + 1e-9) {
+             instance_.user(op.user).budget + kBudgetEpsilon) {
         const std::vector<EventId>& events = plan_.events_of(op.user);
         if (events.empty()) break;
         const EventId victim = *std::min_element(

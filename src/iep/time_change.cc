@@ -25,8 +25,8 @@ void ApplyTimeChange(const Instance& instance, EventId event, Plan* plan,
         break;
       }
     }
-    if (!conflicted &&
-        UserTravelCost(instance, *plan, i) <= instance.user(i).budget + 1e-9) {
+    if (!conflicted && UserTravelCost(instance, *plan, i) <=
+                           instance.user(i).budget + kBudgetEpsilon) {
       continue;
     }
     plan->Remove(i, event);

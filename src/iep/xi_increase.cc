@@ -38,7 +38,7 @@ bool SwapFeasible(const Instance& instance, const Plan& plan, UserId user,
   }
   events.push_back(target);
   return TourCost(instance, user, std::move(events)) <=
-         instance.user(user).budget + 1e-9;
+         instance.user(user).budget + kBudgetEpsilon;
 }
 
 }  // namespace

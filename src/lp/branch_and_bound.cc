@@ -8,6 +8,9 @@ namespace gepc {
 
 namespace {
 
+/// Values within this of an integer count as integral.
+constexpr double kIntegralityTolerance = 1e-6;
+
 class MipSearch {
  public:
   MipSearch(const LinearProgram& lp, const MipOptions& options)
@@ -63,7 +66,7 @@ class MipSearch {
 
     // Most fractional variable.
     int branch_var = -1;
-    double worst_distance = options_.integrality_tolerance;
+    double worst_distance = kIntegralityTolerance;
     for (int v = 0; v < lp_.num_vars(); ++v) {
       const double value = relaxation->x[static_cast<size_t>(v)];
       const double distance = std::fabs(value - std::round(value));

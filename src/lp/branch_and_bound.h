@@ -14,8 +14,6 @@ namespace gepc {
 struct MipOptions {
   /// Hard cap on explored branch-and-bound nodes.
   int64_t max_nodes = 100'000;
-  /// Values within this of an integer count as integral.
-  double integrality_tolerance = 1e-6;
   SimplexOptions simplex;
 };
 

@@ -24,6 +24,9 @@ namespace {
 constexpr uint64_t kListenTag = 0;
 constexpr uint64_t kWakeTag = 1;
 constexpr size_t kReadChunk = 64 * 1024;
+/// The read queue holds this many times the op queue's capacity: reads are
+/// cheap snapshot queries and should not bounce while writes still fit.
+constexpr size_t kReadQueueFactor = 4;
 
 Status Errno(const std::string& what) {
   return Status::Internal(what + ": " + std::strerror(errno));
@@ -61,7 +64,7 @@ NetServer::NetServer(NetServerOptions options, Handler handler, Router router,
       handler_(std::move(handler)),
       router_(std::move(router)),
       welcome_fields_(std::move(welcome_fields)),
-      read_jobs_(options_.read_queue_capacity),
+      read_jobs_(options_.op_queue_capacity * kReadQueueFactor),
       op_jobs_(options_.op_queue_capacity) {
   auto& reg = obs::Registry::Global();
   active_connections_ = reg.GetGauge(

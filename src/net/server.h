@@ -39,11 +39,10 @@ struct NetServerOptions {
   /// serialize in the PlanningService writer thread; a couple of workers
   /// are enough to keep its queue fed.
   int op_workers = 2;
-  /// Bounds of the two dispatch queues. A full queue is the admission-
-  /// control signal: the event loop answers with a Status frame
-  /// ("saturated") instead of enqueueing — backpressure reaches the client
-  /// as data, never as a stalled accept loop.
-  size_t read_queue_capacity = 1024;
+  /// Bound of the op dispatch queue; the read queue holds 4x as many. A
+  /// full queue is the admission-control signal: the event loop answers
+  /// with a Status frame ("saturated") instead of enqueueing — backpressure
+  /// reaches the client as data, never as a stalled accept loop.
   size_t op_queue_capacity = 256;
   /// Compress server->client payloads >= kCompressMinBytes when that
   /// shrinks them (clients always may compress; the decoder autodetects).

@@ -15,6 +15,9 @@ namespace repl {
 
 namespace {
 
+/// kReplCkptChunk payload size while streaming a checkpoint.
+constexpr size_t kChunkBytes = 256 * 1024;
+
 Result<std::string> ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("cannot open " + path);
@@ -253,13 +256,14 @@ Result<uint64_t> ReplicationSource::ShipCheckpoint(uint64_t conn_id,
   begin.bytes = bytes->size();
   server_->Push(conn_id, net::EncodeFrame(net::FrameType::kReplCkptBegin,
                                           EncodeCkptBegin(begin)));
-  const size_t chunk = std::max<size_t>(1, options_.chunk_bytes);
-  for (size_t offset = 0; offset < bytes->size(); offset += chunk) {
+  for (size_t offset = 0; offset < bytes->size(); offset += kChunkBytes) {
+    // Chunks compress when that shrinks them (the decoder autodetects);
+    // rows and control frames go raw, far below the compressor's minimum.
     server_->Push(conn_id,
                   net::EncodeFrame(
                       net::FrameType::kReplCkptChunk,
-                      std::string_view(*bytes).substr(offset, chunk),
-                      /*allow_compression=*/options_.compress_chunks));
+                      std::string_view(*bytes).substr(offset, kChunkBytes),
+                      /*allow_compression=*/true));
   }
   // An empty-state checkpoint still needs its (empty) chunk stream ended;
   // the begin frame's byte count already tells the follower it is complete.

@@ -30,11 +30,6 @@ struct ReplicationSourceOptions {
   /// Cadence of kReplHeartbeat frames to live followers. Followers use the
   /// heartbeat both as a liveness deadline and as their lag reference.
   int heartbeat_interval_ms = 500;
-  /// kReplCkptChunk payload size while streaming a checkpoint.
-  size_t chunk_bytes = 256 * 1024;
-  /// Compress checkpoint chunk frames (rows and control frames always go
-  /// raw — they are far below the compressor's minimum anyway).
-  bool compress_chunks = true;
 };
 
 /// One coherent read of the source's counters (tests; `stats` wiring).

@@ -7,16 +7,34 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "core/feasibility.h"
 #include "exec/task_rng.h"
 #include "exec/thread_pool.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "shard/sharded_solver.h"
 
 namespace gepc {
 
 namespace {
+
+/// Minimum score gain for a hill-climbing swap to be accepted (guards
+/// float noise).
+constexpr double kMinGain = 1e-9;
+
+// Synthetic workload shape (GenerateScheduleProblem*).
+/// User budgets ~ U[kBudgetLoFrac, kBudgetHiFrac] of the city diagonal.
+constexpr double kBudgetLoFrac = 0.35;
+constexpr double kBudgetHiFrac = 1.1;
+/// A user is interested in a draft with probability kInterestP, with mu
+/// ~ U[kMuLo, kMuHi).
+constexpr double kInterestP = 0.4;
+constexpr double kMuLo = 0.1;
+constexpr double kMuHi = 1.0;
+/// Candidate capacities ~ U[0.5, 1.5] * kMeanCapacity; xi is
+/// kLowerBoundFrac of the mean capacity.
+constexpr double kMeanCapacity = 40.0;
+constexpr double kLowerBoundFrac = 0.1;
 
 /// Cached registry handles for the scheduler metrics (docs/observability.md).
 struct SchedMetrics {
@@ -102,16 +120,7 @@ ScheduleEval SolveOracle(const ScheduleProblem& problem,
   obs::ScopedTimerMs oracle_timer(SchedMetrics::Get().oracle_ms.get());
   const Instance instance = MaterializeSchedule(problem, choice);
   const GepcOptions gepc = OracleOptions(options, fingerprint);
-  Result<GepcResult> solved = Status::Internal("unset");
-  if (options.oracle_shards > 1) {
-    ShardedGepcOptions sharded;
-    sharded.shards = options.oracle_shards;
-    sharded.threads = 1;  // the search already parallelizes across candidates
-    sharded.gepc = gepc;
-    solved = SolveSharded(instance, sharded);
-  } else {
-    solved = SolveGepc(instance, gepc);
-  }
+  const Result<GepcResult> solved = SolveGepc(instance, gepc);
   if (!solved.ok()) {
     *oracle_ok = false;
     return EstimateSchedule(problem, choice);
@@ -228,16 +237,7 @@ Status FinalizeResult(const ScheduleProblem& problem,
   result->choice = choice;
   result->instance = MaterializeSchedule(problem, choice);
   const GepcOptions gepc = OracleOptions(options, ScheduleFingerprint(choice));
-  Result<GepcResult> solved = Status::Internal("unset");
-  if (options.oracle_shards > 1) {
-    ShardedGepcOptions sharded;
-    sharded.shards = options.oracle_shards;
-    sharded.threads = 1;
-    sharded.gepc = gepc;
-    solved = SolveSharded(result->instance, sharded);
-  } else {
-    solved = SolveGepc(result->instance, gepc);
-  }
+  Result<GepcResult> solved = SolveGepc(result->instance, gepc);
   GEPC_RETURN_IF_ERROR(solved.status());
   result->plan = std::move(solved->plan);
   result->total_utility = solved->total_utility;
@@ -385,7 +385,7 @@ ScheduleEval EstimateSchedule(const ScheduleProblem& problem,
       if (mu <= 0.0) continue;
       const User& user = problem.users[u];
       if (2.0 * Distance(user.location, cand.venue) + cand.fee >
-          user.budget + 1e-9) {
+          user.budget + kBudgetEpsilon) {
         continue;
       }
       takers.emplace_back(mu, static_cast<int>(u));
@@ -462,7 +462,7 @@ Result<ScheduleResult> SolveSchedule(const ScheduleProblem& problem,
       for (int d = 0; d < num_drafts; ++d) {
         const BestCandidate best = BestCandidateFor(
             ctx, choice, d, choice[static_cast<size_t>(d)]);
-        if (best.found && best.score > current + options.min_gain) {
+        if (best.found && best.score > current + kMinGain) {
           choice[static_cast<size_t>(d)] = best.candidate;
           current = best.score;
           ++result.stats.swap_moves;
@@ -560,9 +560,7 @@ ScheduleProblem GenerateScheduleProblem(const ScheduleGenConfig& config) {
     User user;
     user.location = Point{rng.UniformDouble(0.0, config.city_width),
                           rng.UniformDouble(0.0, config.city_height)};
-    user.budget =
-        rng.UniformDouble(config.budget_lo_frac, config.budget_hi_frac) *
-        diagonal;
+    user.budget = rng.UniformDouble(kBudgetLoFrac, kBudgetHiFrac) * diagonal;
     users.push_back(user);
   }
   return GenerateScheduleProblemForUsers(std::move(users), config);
@@ -597,20 +595,17 @@ ScheduleProblem GenerateScheduleProblemForUsers(
     DraftEvent draft;
     draft.interest.resize(static_cast<size_t>(n), 0.0);
     for (int u = 0; u < n; ++u) {
-      if (rng.Bernoulli(config.interest_p)) {
-        draft.interest[static_cast<size_t>(u)] =
-            rng.UniformDouble(config.mu_lo, config.mu_hi);
+      if (rng.Bernoulli(kInterestP)) {
+        draft.interest[static_cast<size_t>(u)] = rng.UniformDouble(kMuLo, kMuHi);
       }
     }
-    draft.lower_bound = std::max(
-        0, static_cast<int>(config.lower_bound_frac * config.mean_capacity));
+    draft.lower_bound = static_cast<int>(kLowerBoundFrac * kMeanCapacity);
     for (int c = 0; c < config.candidates_per_draft; ++c) {
       ScheduleCandidate cand;
       cand.venue = Point{x0 + rng.UniformDouble(0.0, width),
                          y0 + rng.UniformDouble(0.0, height)};
-      cand.capacity = std::max(
-          1, static_cast<int>(std::llround(rng.UniformDouble(0.5, 1.5) *
-                                           config.mean_capacity)));
+      cand.capacity = static_cast<int>(
+          std::llround(rng.UniformDouble(0.5, 1.5) * kMeanCapacity));
       // Day grid: starts on the half hour between 08:00 and 18:00, running
       // 60-180 minutes.
       const Minutes start =

@@ -121,8 +121,6 @@ struct ScheduleOptions {
   int restarts = 2;
   /// Hill-climbing pass cap per restart.
   int max_passes = 4;
-  /// Minimum score gain for a swap to be accepted.
-  double min_gain = 1e-9;
   /// Memoize evaluations by fingerprint. Off = the naive re-solve-per-
   /// candidate baseline bench_schedule compares against.
   bool memoize = true;
@@ -130,16 +128,13 @@ struct ScheduleOptions {
   /// any affinity armed inside gepc.local_search is stripped so cached
   /// evals stay lambda-independent.
   GepcOptions gepc;
-  /// > 1 routes the oracle through SolveSharded (sequentially per
-  /// candidate; the search already parallelizes across candidates).
-  int oracle_shards = 1;
   /// Schedule scoring: score = total_utility + lambda * affinity_pairs.
   AffinityParams affinity;
 };
 
 /// What a search did, for tests/benches/metrics.
 struct ScheduleStats {
-  int64_t oracle_calls = 0;        ///< real SolveGepc/SolveSharded runs
+  int64_t oracle_calls = 0;        ///< real SolveGepc runs
   int64_t cache_hits = 0;          ///< evaluations served by the cache
   int64_t degraded_candidates = 0; ///< sched.oracle fired / oracle errored
   int64_t skipped_candidates = 0;  ///< sched.candidate fired; not evaluated
@@ -194,26 +189,16 @@ Result<ScheduleResult> EnumerateSchedule(const ScheduleProblem& problem,
                                          ScheduleCache* cache = nullptr,
                                          int64_t max_configs = 1 << 20);
 
-/// Seeded synthetic scheduling workloads (paper-style): clustered users,
-/// draft interest via the usual Bernoulli(interest_p) * U[mu_lo, mu_hi)
-/// model, candidate venues scattered over the city with capacities around
-/// mean_capacity and slots drawn from a day grid.
+/// Seeded synthetic scheduling workloads (paper-style): uniform users,
+/// Bernoulli draft interest with uniform mu, candidate venues scattered
+/// over the city with capacities around a fixed mean and slots drawn from a
+/// day grid (the distribution is fixed in schedule.cc).
 struct ScheduleGenConfig {
   int num_users = 200;
   int num_drafts = 4;
   int candidates_per_draft = 3;
   double city_width = 100.0;
   double city_height = 100.0;
-  /// Probability a user is interested in a draft at all.
-  double interest_p = 0.4;
-  double mu_lo = 0.1;
-  double mu_hi = 1.0;
-  double mean_capacity = 40.0;
-  /// xi as a fraction of the candidate capacity.
-  double lower_bound_frac = 0.1;
-  /// User budget range as fractions of the city diagonal.
-  double budget_lo_frac = 0.35;
-  double budget_hi_frac = 1.1;
   uint64_t seed = 42;
 };
 

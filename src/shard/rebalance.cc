@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/feasibility.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "spatial/reachability.h"
@@ -160,7 +161,7 @@ double ShardTracker::StructuralSkew(const ShardPartition& partition) {
 bool ShardTracker::CanReachLocation(const Instance& instance, UserId i,
                                     const Point& location, double fee) {
   return 2.0 * Distance(instance.user(i).location, location) + fee <=
-         instance.user(i).budget + ReachabilityFilter::kBudgetEpsilon;
+         instance.user(i).budget + kBudgetEpsilon;
 }
 
 int ShardTracker::ReclassifyUsers(const Instance& instance,

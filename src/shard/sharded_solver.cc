@@ -224,7 +224,7 @@ Result<GepcResult> SolveSharded(const Instance& instance,
   const int m = instance.num_events();
   Timer timer;
 
-  const ReachabilityFilter filter(instance, options.cell_size);
+  const ReachabilityFilter filter(instance);
   const ShardPartition partition =
       options.partitioner == ShardPartitioner::kVoronoi
           ? PartitionInstanceVoronoi(instance, filter, options.shards,

@@ -22,8 +22,6 @@ struct ShardedGepcOptions {
   /// Per-shard two-step solver configuration (algorithm, top-up, ...).
   /// greedy.seed acts as the master seed of the per-shard streams.
   GepcOptions gepc;
-  /// Grid cell edge for the spatial index; <= 0 auto-sizes.
-  double cell_size = 0.0;
   /// How to cut the instance: recursive bisection (the static default) or
   /// centroidal-Voronoi cells (the rebalancer's partitioner — pass the
   /// tracker's sites via voronoi.seed_sites to solve on a live cut).

@@ -13,6 +13,15 @@ namespace gepc {
 
 namespace {
 
+/// Organizer-side drift, per existing event per day.
+constexpr double kPTimeShift = 0.10;
+constexpr double kPEtaShrink = 0.05;
+constexpr double kPXiRaise = 0.05;
+
+/// User-side drift, per user per day.
+constexpr double kPInterestLoss = 0.03;  ///< zero one positive utility
+constexpr double kPBudgetChange = 0.05;  ///< rescale budget by U[0.6, 1.4]
+
 /// One day's drift as atomic operations against the current instance.
 std::vector<AtomicOp> DriftOps(const Instance& instance,
                                const SimulationConfig& config,
@@ -21,19 +30,19 @@ std::vector<AtomicOp> DriftOps(const Instance& instance,
 
   for (int j = 0; j < instance.num_events(); ++j) {
     const Event& e = instance.event(j);
-    if (rng->Bernoulli(config.p_time_shift)) {
+    if (rng->Bernoulli(kPTimeShift)) {
       const Minutes shift =
           static_cast<Minutes>(rng->UniformInt(30, 120)) *
           (rng->Bernoulli(0.5) ? 1 : -1);
       ops.push_back(AtomicOp::TimeChange(
           j, {e.time.start + shift, e.time.end + shift}));
     }
-    if (rng->Bernoulli(config.p_eta_shrink) && e.upper_bound > 1) {
+    if (rng->Bernoulli(kPEtaShrink) && e.upper_bound > 1) {
       ops.push_back(AtomicOp::UpperBoundChange(
           j, std::max(1, e.upper_bound -
                              static_cast<int>(rng->UniformInt(1, 3)))));
     }
-    if (rng->Bernoulli(config.p_xi_raise) && e.lower_bound < e.upper_bound) {
+    if (rng->Bernoulli(kPXiRaise) && e.lower_bound < e.upper_bound) {
       ops.push_back(AtomicOp::LowerBoundChange(
           j, std::min(e.upper_bound,
                       e.lower_bound + static_cast<int>(rng->UniformInt(1, 2)))));
@@ -41,7 +50,7 @@ std::vector<AtomicOp> DriftOps(const Instance& instance,
   }
 
   for (int i = 0; i < instance.num_users(); ++i) {
-    if (rng->Bernoulli(config.p_interest_loss)) {
+    if (rng->Bernoulli(kPInterestLoss)) {
       // Zero one currently-positive utility (availability change).
       std::vector<EventId> positive;
       for (int j = 0; j < instance.num_events(); ++j) {
@@ -53,7 +62,7 @@ std::vector<AtomicOp> DriftOps(const Instance& instance,
         ops.push_back(AtomicOp::UtilityChange(i, j, 0.0));
       }
     }
-    if (rng->Bernoulli(config.p_budget_change)) {
+    if (rng->Bernoulli(kPBudgetChange)) {
       ops.push_back(AtomicOp::BudgetChange(
           i, instance.user(i).budget * rng->UniformDouble(0.6, 1.4)));
     }

@@ -26,11 +26,6 @@ struct SimulationConfig {
 
   int num_days = 7;
 
-  /// Organizer-side drift, per existing event per day.
-  double p_time_shift = 0.10;
-  double p_eta_shrink = 0.05;
-  double p_xi_raise = 0.05;
-
   /// New events announced per day.
   int new_events_per_day = 1;
 
@@ -41,12 +36,9 @@ struct SimulationConfig {
   /// applied. 0 (default) keeps the legacy direct-placement drift.
   int candidates_per_new_event = 0;
 
-  /// User-side drift, per user per day.
-  double p_interest_loss = 0.03;  ///< zero one positive utility
-  double p_budget_change = 0.05;  ///< rescale budget by U[0.6, 1.4]
-  /// Probability a user's availability shrinks to a random sub-window of
-  /// the day (expands to utility-zero ops per the paper's Sec. II-B
-  /// example). Off by default.
+  /// Probability, per user per day, that the user's availability shrinks
+  /// to a random sub-window of the day (expands to utility-zero ops per the
+  /// paper's Sec. II-B example). Off by default.
   double p_availability_shrink = 0.0;
 
   /// Planner driving day 0 (and the Re-solve mode).

@@ -1,5 +1,7 @@
 #include "spatial/reachability.h"
 
+#include "core/feasibility.h"
+
 namespace gepc {
 
 namespace {
@@ -15,9 +17,8 @@ std::vector<Point> EventLocations(const Instance& instance) {
 
 }  // namespace
 
-ReachabilityFilter::ReachabilityFilter(const Instance& instance,
-                                       double cell_size)
-    : instance_(instance), grid_(EventLocations(instance), cell_size) {}
+ReachabilityFilter::ReachabilityFilter(const Instance& instance)
+    : instance_(instance), grid_(EventLocations(instance)) {}
 
 std::vector<EventId> ReachabilityFilter::AttendableEvents(UserId i) const {
   const User& user = instance_.user(i);

@@ -38,7 +38,7 @@ std::vector<EventId> BruteAttendable(const Instance& instance, UserId i) {
     const Event& event = instance.event(j);
     const double round_trip =
         2.0 * Distance(user.location, event.location) + event.fee;
-    if (round_trip <= user.budget + ReachabilityFilter::kBudgetEpsilon) {
+    if (round_trip <= user.budget + kBudgetEpsilon) {
       events.push_back(j);
     }
   }

@@ -403,8 +403,6 @@ int Main(int argc, char** argv) {
     net_options.read_workers = args.net_read_workers;
     net_options.op_workers = args.net_op_workers;
     net_options.op_queue_capacity = static_cast<size_t>(args.net_queue);
-    net_options.read_queue_capacity =
-        static_cast<size_t>(args.net_queue) * 4;
     net_options.compress = args.net_compress;
 
     const auto snap = service->snapshot();
