@@ -1,5 +1,8 @@
 #include "service/dispatch.h"
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -34,15 +37,25 @@ void FillError(JsonWriter* writer, const std::string& message) {
   writer->Add("error", message);
 }
 
-/// Fetches a required non-negative integer field.
-bool GetIntField(const JsonObject& request, const std::string& key, int* out,
-                 std::string* error) {
+constexpr int kMaxInt = std::numeric_limits<int>::max();
+
+/// Fetches integer field `key` into *out. The value must be an integral
+/// number in [lo, hi]; it is checked as a double before the cast, so an
+/// out-of-range value is never converted. Absent counts as invalid.
+template <typename Int>
+bool GetIntField(const JsonObject& request, const std::string& key, Int lo,
+                 Int hi, Int* out, std::string* error) {
   auto it = request.find(key);
-  if (it == request.end() || it->second.type != JsonValue::Type::kNumber) {
-    *error = "'" + key + "' (number) is required";
+  const double value = it == request.end() ? 0.0 : it->second.number_value;
+  if (it == request.end() || it->second.type != JsonValue::Type::kNumber ||
+      !(value >= static_cast<double>(lo) &&
+        value <= static_cast<double>(hi)) ||
+      value != std::trunc(value)) {
+    *error = "'" + key + "' must be an integer in [" + std::to_string(lo) +
+             ", " + std::to_string(hi) + "]";
     return false;
   }
-  *out = static_cast<int>(it->second.number_value);
+  *out = static_cast<Int>(value);
   return true;
 }
 
@@ -104,7 +117,7 @@ void HandleQueryUser(const PlanningService& service, const JsonObject& request,
                      JsonWriter* writer) {
   int user = -1;
   std::string error;
-  if (!GetIntField(request, "user", &user, &error)) {
+  if (!GetIntField(request, "user", 0, kMaxInt, &user, &error)) {
     FillError(writer, error);
     return;
   }
@@ -144,7 +157,7 @@ void HandleQueryEvent(const PlanningService& service,
                       const JsonObject& request, JsonWriter* writer) {
   int event = -1;
   std::string error;
-  if (!GetIntField(request, "event", &event, &error)) {
+  if (!GetIntField(request, "event", 0, kMaxInt, &event, &error)) {
     FillError(writer, error);
     return;
   }
@@ -310,23 +323,13 @@ void HandleRebuild(PlanningService* service, const JsonObject& request,
   options.gepc.algorithm = defaults.algorithm;
 
   // Optional per-request overrides of the front end's defaults.
-  auto override_int = [&request](const char* key, int* out) {
-    auto it = request.find(key);
-    if (it == request.end()) return true;
-    if (it->second.type != JsonValue::Type::kNumber) return false;
-    const double value = it->second.number_value;
-    if (value < 1.0 || value != static_cast<double>(static_cast<int>(value))) {
-      return false;
-    }
-    *out = static_cast<int>(value);
-    return true;
-  };
-  if (!override_int("threads", &options.threads)) {
-    FillError(writer, "'threads' must be a positive integer");
-    return;
-  }
-  if (!override_int("shards", &options.shards)) {
-    FillError(writer, "'shards' must be a positive integer");
+  std::string error;
+  if ((request.contains("threads") &&
+       !GetIntField(request, "threads", 1, kMaxInt, &options.threads,
+                    &error)) ||
+      (request.contains("shards") &&
+       !GetIntField(request, "shards", 1, kMaxInt, &options.shards, &error))) {
+    FillError(writer, error);
     return;
   }
   auto alg_it = request.find("algorithm");
@@ -382,42 +385,26 @@ void HandleSchedule(const PlanningService& service, const JsonObject& request,
                     JsonWriter* writer) {
   int drafts = 3;
   int candidates = 3;
-  std::string error;
-  auto override_int = [&request](const char* key, int* out) {
-    auto it = request.find(key);
-    if (it == request.end()) return true;
-    if (it->second.type != JsonValue::Type::kNumber) return false;
-    const double value = it->second.number_value;
-    if (value < 1.0 || value != static_cast<double>(static_cast<int>(value))) {
-      return false;
-    }
-    *out = static_cast<int>(value);
-    return true;
-  };
-  if (!override_int("drafts", &drafts) || drafts > 8) {
-    FillError(writer, "'drafts' must be an integer in [1, 8]");
-    return;
-  }
-  if (!override_int("candidates", &candidates) || candidates > 8) {
-    FillError(writer, "'candidates' must be an integer in [1, 8]");
-    return;
-  }
   uint64_t seed = 1;
-  auto seed_it = request.find("seed");
-  if (seed_it != request.end()) {
-    if (seed_it->second.type != JsonValue::Type::kNumber ||
-        seed_it->second.number_value < 0.0) {
-      FillError(writer, "'seed' must be a non-negative number");
-      return;
-    }
-    seed = static_cast<uint64_t>(seed_it->second.number_value);
+  std::string error;
+  // Seeds stop at 2^53, the largest range of integers a double holds exactly.
+  if ((request.contains("drafts") &&
+       !GetIntField(request, "drafts", 1, 8, &drafts, &error)) ||
+      (request.contains("candidates") &&
+       !GetIntField(request, "candidates", 1, 8, &candidates, &error)) ||
+      (request.contains("seed") &&
+       !GetIntField<uint64_t>(request, "seed", 0, uint64_t{1} << 53, &seed,
+                              &error))) {
+    FillError(writer, error);
+    return;
   }
   double lambda = 0.0;
   auto lambda_it = request.find("lambda");
   if (lambda_it != request.end()) {
     if (lambda_it->second.type != JsonValue::Type::kNumber ||
+        !std::isfinite(lambda_it->second.number_value) ||
         lambda_it->second.number_value < 0.0) {
-      FillError(writer, "'lambda' must be a non-negative number");
+      FillError(writer, "'lambda' must be a finite non-negative number");
       return;
     }
     lambda = lambda_it->second.number_value;

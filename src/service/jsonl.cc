@@ -1,6 +1,7 @@
 #include "service/jsonl.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -68,11 +69,20 @@ class Parser {
     if (c == '{' || c == '[') {
       return Error("nested objects/arrays are not supported");
     }
-    // Number.
+    // Number, in JSON's own syntax -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+    // (strtod alone would also take inf, nan, hex and a leading '+').
+    const size_t start = pos_;
+    Consume('-');
+    if (!Consume('0') && !ConsumeDigits()) return Error("bad value");
+    if (Consume('.') && !ConsumeDigits()) return Error("bad number");
+    if (Consume('e') || Consume('E')) {
+      if (!Consume('+')) Consume('-');
+      if (!ConsumeDigits()) return Error("bad number");
+    }
     char* end = nullptr;
-    const double value = std::strtod(text_.c_str() + pos_, &end);
-    if (end == text_.c_str() + pos_) return Error("bad value");
-    pos_ = static_cast<size_t>(end - text_.c_str());
+    const double value = std::strtod(text_.c_str() + start, &end);
+    if (end != text_.c_str() + pos_) return Error("bad number");
+    if (!std::isfinite(value)) return Error("number out of range");
     out->type = JsonValue::Type::kNumber;
     out->number_value = value;
     return Status::OK();
@@ -131,6 +141,16 @@ class Parser {
       return true;
     }
     return false;
+  }
+
+  /// Consumes [0-9]+; false when no digit is next.
+  bool ConsumeDigits() {
+    const size_t start = pos_;
+    while (pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+      ++pos_;
+    }
+    return pos_ > start;
   }
 
   Status Error(const std::string& what) {

@@ -149,6 +149,16 @@ TEST_F(DispatchTest, ScheduleBoundsItsInputs) {
                    .at("ok").bool_value);
   EXPECT_FALSE(Roundtrip(R"({"cmd":"schedule","seed":"abc"})")
                    .at("ok").bool_value);
+  // Numbers are checked finite, integral and in range before any cast.
+  for (const char* field :
+       {R"("drafts":2.5)", R"("drafts":4294967297)", R"("candidates":-0.5)",
+        R"("seed":-1)", R"("seed":1.5)", R"("seed":9007199254740994)",
+        R"("seed":1e300)", R"("lambda":1e999)", R"("lambda":inf)"}) {
+    EXPECT_FALSE(Roundtrip(std::string(R"({"cmd":"schedule",)") + field + "}")
+                     .at("ok")
+                     .bool_value)
+        << field;
+  }
 }
 
 TEST_F(DispatchTest, RebalanceWithoutTrackerIsAnErrorResponse) {
@@ -199,6 +209,17 @@ TEST_F(DispatchTest, ErrorsAreResponsesNotCrashes) {
       Roundtrip(R"({"cmd":"apply","op":"eta:banana"})").at("ok").bool_value);
   EXPECT_FALSE(
       Roundtrip(R"({"cmd":"query_user","user":999})").at("ok").bool_value);
+  // Fractional, negative and out-of-int-range ids are rejected, never cast.
+  for (const char* request :
+       {R"({"cmd":"query_user","user":1.9})",
+        R"({"cmd":"query_user","user":-0.5})",
+        R"({"cmd":"query_user","user":4294967297})",
+        R"({"cmd":"query_event","event":0.5})",
+        R"({"cmd":"query_event","event":-4294967297})",
+        R"({"cmd":"rebuild","threads":4294967297})",
+        R"({"cmd":"rebuild","shards":1.5})"}) {
+    EXPECT_FALSE(Roundtrip(request).at("ok").bool_value) << request;
+  }
   // Non-finite numbers and ids that overflow an int are rejected before
   // the op reaches the queue, so nothing is applied or journaled.
   for (const char* op : {"mu:0:0:nan", "budget:0:inf", "loc:0:nan:1",

@@ -9,13 +9,14 @@ namespace {
 
 TEST(JsonlParseTest, FlatObjectWithAllValueTypes) {
   auto object = ParseJsonObject(
-      R"({"cmd":"apply","user":7,"ratio":-2.5,"wait":false,"tag":null})");
+      R"({"cmd":"apply","user":7,"ratio":-2.5,"exp":0.5E+2,"wait":false,"tag":null})");
   ASSERT_TRUE(object.ok()) << object.status();
   EXPECT_EQ(object->at("cmd").type, JsonValue::Type::kString);
   EXPECT_EQ(object->at("cmd").string_value, "apply");
   EXPECT_EQ(object->at("user").type, JsonValue::Type::kNumber);
   EXPECT_DOUBLE_EQ(object->at("user").number_value, 7.0);
   EXPECT_DOUBLE_EQ(object->at("ratio").number_value, -2.5);
+  EXPECT_DOUBLE_EQ(object->at("exp").number_value, 50.0);
   EXPECT_EQ(object->at("wait").type, JsonValue::Type::kBool);
   EXPECT_FALSE(object->at("wait").bool_value);
   EXPECT_EQ(object->at("tag").type, JsonValue::Type::kNull);
@@ -42,6 +43,13 @@ TEST(JsonlParseTest, MalformedInputsRejected) {
   EXPECT_FALSE(ParseJsonObject("{\"a\":1} trailing").ok());
   EXPECT_FALSE(ParseJsonObject("{\"a\":tru}").ok());
   EXPECT_FALSE(ParseJsonObject("{\"a\":\"unterminated}").ok());
+  // Numbers take JSON's syntax only, and must be finite.
+  for (const char* number : {"inf", "-inf", "nan", "0x10", "+1", "01", "1.",
+                             ".5", "1e", "-", "1e999"}) {
+    EXPECT_FALSE(
+        ParseJsonObject(std::string("{\"a\":") + number + "}").ok())
+        << number;
+  }
 }
 
 TEST(JsonlParseTest, NestedStructuresRejected) {
