@@ -3,7 +3,8 @@
 namespace gepc {
 
 std::shared_ptr<const ServiceSnapshot> MakeServiceSnapshot(
-    const Instance& instance, const Plan& plan, uint64_t version) {
+    const Instance& instance, const Plan& plan, uint64_t version,
+    const ServiceWriterStats& writer) {
   auto snapshot = std::make_shared<ServiceSnapshot>();
   snapshot->version = version;
   snapshot->instance = std::make_shared<const Instance>(instance);
@@ -12,6 +13,7 @@ std::shared_ptr<const ServiceSnapshot> MakeServiceSnapshot(
   snapshot->total_assignments = plan.TotalAssignments();
   snapshot->events_below_lower_bound =
       plan.CountEventsBelowLowerBound(instance);
+  snapshot->writer = writer;
   return snapshot;
 }
 

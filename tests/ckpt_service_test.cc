@@ -146,6 +146,15 @@ TEST_F(CkptServiceTest, RecoverPrefersCheckpointPlusTail) {
   EXPECT_EQ(stats.recovery_ops_replayed, 2u);
   EXPECT_GE(stats.recovery_ms, 0.0);
   EXPECT_EQ((*recovered)->snapshot()->version, live_version);
+  // The boot checkpoint is the newest one until the next publication: its
+  // version, file size and age, not "never".
+  auto list = ListCheckpoints(ckpt_dir_);
+  ASSERT_TRUE(list.ok());
+  ASSERT_EQ(list->front().version, 8u);
+  EXPECT_EQ(stats.last_checkpoint_version, 8u);
+  EXPECT_EQ(stats.last_checkpoint_bytes,
+            static_cast<int64_t>(fs::file_size(list->front().path)));
+  EXPECT_GE(stats.last_checkpoint_age_seconds, 0.0);
 
   // The recovered service keeps sequencing where the crash left off.
   const ApplyOutcome next =

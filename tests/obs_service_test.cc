@@ -143,14 +143,13 @@ TEST(ObsServiceTest, ThousandOpWorkloadHasExactQuantiles) {
   ASSERT_TRUE(std::is_sorted(stats.apply_ms.samples.begin(),
                              stats.apply_ms.samples.end()));
 
-  EXPECT_DOUBLE_EQ(stats.apply_ms_p50,
+  EXPECT_DOUBLE_EQ(stats.apply_ms.Quantile(0.5),
                    NearestRank(stats.apply_ms.samples, 0.5));
-  EXPECT_DOUBLE_EQ(stats.apply_ms_p90,
+  EXPECT_DOUBLE_EQ(stats.apply_ms.Quantile(0.9),
                    NearestRank(stats.apply_ms.samples, 0.9));
-  EXPECT_DOUBLE_EQ(stats.apply_ms_p99,
+  EXPECT_DOUBLE_EQ(stats.apply_ms.Quantile(0.99),
                    NearestRank(stats.apply_ms.samples, 0.99));
-  EXPECT_DOUBLE_EQ(stats.apply_ms_max, stats.apply_ms.samples.back());
-  EXPECT_DOUBLE_EQ(stats.apply_ms_p50, stats.apply_ms.Quantile(0.5));
+  EXPECT_DOUBLE_EQ(stats.apply_ms.max, stats.apply_ms.samples.back());
 
   // Every applied/rejected op passed through the queue exactly once.
   EXPECT_EQ(stats.ops_submitted, 1000u);

@@ -229,10 +229,18 @@ TEST(PlanningServiceTest, StatsTrackLatencyAndImpact) {
   EXPECT_EQ(stats.ops_submitted, 1u);
   EXPECT_EQ(stats.ops_applied, 1u);
   EXPECT_GE(stats.negative_impact_total, 0);
-  EXPECT_GT(stats.apply_ms_max, 0.0);
-  EXPECT_GE(stats.apply_ms_p99, stats.apply_ms_p50);
+  EXPECT_GT(stats.apply_ms.max, 0.0);
+  EXPECT_GE(stats.apply_ms.Quantile(0.99), stats.apply_ms.Quantile(0.50));
   EXPECT_GE(stats.queue_high_water, 1u);
   EXPECT_EQ(stats.queue_capacity, 1024u);
+  // One publish at boot, then one per finished request, counters included:
+  // a checkpoint request that fails still publishes its failure count.
+  EXPECT_EQ(stats.snapshots_published, 2u);
+  EXPECT_FALSE((*service)->Checkpoint().published);
+  const ServiceStats after = (*service)->Stats();
+  EXPECT_EQ(after.snapshots_published, 3u);
+  EXPECT_EQ(after.checkpoint_failures, 1u);
+  EXPECT_EQ(after.snapshot_version, 1u);
 }
 
 TEST(PlanningServiceTest, RebuildSwapsPlanAndSerializesWithOps) {
