@@ -5,25 +5,14 @@
 #include <algorithm>
 #include <vector>
 
-#include "data/generator.h"
 #include "shard/voronoi.h"
 #include "spatial/reachability.h"
+#include "tests/local_instance.h"
 
 namespace gepc {
 namespace {
 
-Instance MakeLocalInstance(int users, int events, uint64_t seed) {
-  GeneratorConfig config;
-  config.num_users = users;
-  config.num_events = events;
-  config.seed = seed;
-  // Small budgets so users' disks are local and many end up interior.
-  config.budget_min_fraction = 0.05;
-  config.budget_max_fraction = 0.15;
-  auto instance = GenerateInstance(config);
-  EXPECT_TRUE(instance.ok()) << instance.status();
-  return *std::move(instance);
-}
+using testing_support::MakeLocalInstance;
 
 TEST(PartitionTest, EventsPartitionedDisjointAndComplete) {
   const Instance instance = MakeLocalInstance(100, 40, 3);

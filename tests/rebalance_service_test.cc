@@ -10,26 +10,16 @@
 
 #include <vector>
 
-#include "data/generator.h"
 #include "fault/fault.h"
 #include "gepc/solver.h"
 #include "iep/planner.h"
 #include "service/torture.h"
+#include "tests/local_instance.h"
 
 namespace gepc {
 namespace {
 
-Instance MakeLocalInstance(int users, int events, uint64_t seed) {
-  GeneratorConfig config;
-  config.num_users = users;
-  config.num_events = events;
-  config.seed = seed;
-  config.budget_min_fraction = 0.05;
-  config.budget_max_fraction = 0.15;
-  auto instance = GenerateInstance(config);
-  EXPECT_TRUE(instance.ok()) << instance.status();
-  return *std::move(instance);
-}
+using testing_support::MakeLocalInstance;
 
 class RebalanceServiceTest : public ::testing::Test {
  protected:

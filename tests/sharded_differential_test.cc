@@ -10,25 +10,14 @@
 #include <vector>
 
 #include "core/feasibility.h"
-#include "data/generator.h"
 #include "gepc/solver.h"
 #include "shard/sharded_solver.h"
+#include "tests/local_instance.h"
 
 namespace gepc {
 namespace {
 
-Instance MakeLocalInstance(int users, int events, uint64_t seed) {
-  GeneratorConfig config;
-  config.num_users = users;
-  config.num_events = events;
-  config.seed = seed;
-  // Tight budgets keep interactions local, the regime sharding targets.
-  config.budget_min_fraction = 0.05;
-  config.budget_max_fraction = 0.15;
-  auto instance = GenerateInstance(config);
-  EXPECT_TRUE(instance.ok()) << instance.status();
-  return *std::move(instance);
-}
+using testing_support::MakeLocalInstance;
 
 TEST(ShardedDifferentialTest, UtilityWithinFivePercentOfSequential) {
   for (const uint64_t seed : {101u, 202u, 303u}) {

@@ -5,26 +5,15 @@
 #include <utility>
 
 #include "core/feasibility.h"
-#include "data/generator.h"
 #include "gepc/solver.h"
+#include "tests/local_instance.h"
 #include "tests/paper_example.h"
 
 namespace gepc {
 namespace {
 
+using testing_support::MakeLocalInstance;
 using testing_support::MakePaperInstance;
-
-Instance MakeLocalInstance(int users, int events, uint64_t seed) {
-  GeneratorConfig config;
-  config.num_users = users;
-  config.num_events = events;
-  config.seed = seed;
-  config.budget_min_fraction = 0.05;
-  config.budget_max_fraction = 0.15;
-  auto instance = GenerateInstance(config);
-  EXPECT_TRUE(instance.ok()) << instance.status();
-  return *std::move(instance);
-}
 
 TEST(SolveShardedTest, SingleShardByteIdenticalToSequentialSolver) {
   for (const Instance& instance :
