@@ -91,7 +91,7 @@ class JsonResults {
 
 /// Solver preset used across all benches: the GAP-based algorithm keeps its
 /// exact simplex LP for small reductions and switches to the MWU engine
-/// (the scalable Plotkin-Shmoys-Tardos-style path) above ~5000 candidate
+/// (the scalable Plotkin-Shmoys-Tardos-style path) above 8000 candidate
 /// pairs — mirroring the paper's observation that the GAP algorithm's LP is
 /// the scalability bottleneck while keeping full-size cities runnable.
 inline GepcOptions GapPreset(uint64_t greedy_seed = 1) {

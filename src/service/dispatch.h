@@ -14,8 +14,8 @@ namespace gepc {
 /// this to route work: the socket server runs reads on a dedicated worker
 /// pool so a saturated op queue never delays snapshot queries.
 enum class CommandKind {
-  kRead,     ///< query_user, query_event, stats, metrics, faults
-  kWrite,    ///< apply, rebuild, checkpoint, save_plan, drain, shutdown
+  kRead,     ///< served from snapshots (query_*, stats, metrics, ...)
+  kWrite,    ///< rides the writer queue or acts on the service
   kUnknown,  ///< not a protocol command; Dispatch will answer with an error
 };
 

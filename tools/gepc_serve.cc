@@ -271,8 +271,7 @@ void RunStdioLoop(const CommandDispatcher& dispatcher) {
 
 /// The socket front end: runs the net server until a client's shutdown
 /// command or SIGINT/SIGTERM.
-int RunNetServer(const Args& args, PlanningService* service,
-                 const CommandDispatcher& dispatcher, net::NetServer* server) {
+void RunNetServer(net::NetServer* server) {
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
   while (!server->stopped()) {
@@ -283,10 +282,6 @@ int RunNetServer(const Args& args, PlanningService* service,
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   server->Stop();  // idempotent; joins everything when shutdown came in-band
-  (void)args;
-  (void)service;
-  (void)dispatcher;
-  return 0;
 }
 
 int Main(int argc, char** argv) {
@@ -470,7 +465,7 @@ int Main(int argc, char** argv) {
   }
 
   if (server != nullptr) {
-    RunNetServer(args, service, dispatcher, server.get());
+    RunNetServer(server.get());
   } else {
     RunStdioLoop(dispatcher);
   }
