@@ -98,6 +98,52 @@ TEST_F(CliTest, ApplyRunsOpsAndWritesPlan) {
   EXPECT_LE(plan->attendance(0), 1);
 }
 
+TEST_F(CliTest, ApplyWithShardsReportsMigrationsAndKeepsThePlan) {
+  ASSERT_EQ(RunCommand(Cli() + " solve --in " + instance_path_ +
+                       " --plan-out " + plan_path_),
+            0);
+  const std::string ops =
+      " --op budget:3:40 --op loc:2:20:80 --op eta:4:2 --op budget:11:5"
+      " --op loc:6:75:30 --op eta:8:9";
+  const std::string tracked_plan = TestTempPath("cli_test_tracked.gpln");
+  const std::string plain_plan = TestTempPath("cli_test_plain.gpln");
+  const std::string capture = TestTempPath("cli_test_tracked_stdout.txt");
+  // --rebalance-skew 0 makes every --rebalance-every check fire, so the
+  // rebalance count does not depend on measured apply times.
+  ASSERT_EQ(WEXITSTATUS(std::system(
+                (Cli() + " apply --in " + instance_path_ + " --plan " +
+                 plan_path_ + ops +
+                 " --shards 3 --rebalance-every 2 --rebalance-skew 0"
+                 " --plan-out " + tracked_plan + " > " + capture + " 2>&1")
+                    .c_str())),
+            0);
+  std::ifstream in(capture);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("ops applied:      6\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("shards:           3\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("migrations:       4 (1 users reclassified, "
+                      "1 events re-homed)\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("full rebuilds:    0\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("rebalances:       3\n"), std::string::npos) << text;
+
+  // Tracking never changes the plan: the same ops without --shards write
+  // the same file.
+  ASSERT_EQ(RunCommand(Cli() + " apply --in " + instance_path_ + " --plan " +
+                       plan_path_ + ops + " --plan-out " + plain_plan),
+            0);
+  std::ifstream tracked(tracked_plan, std::ios::binary);
+  std::ifstream plain(plain_plan, std::ios::binary);
+  const std::string tracked_bytes((std::istreambuf_iterator<char>(tracked)),
+                                  std::istreambuf_iterator<char>());
+  const std::string plain_bytes((std::istreambuf_iterator<char>(plain)),
+                                std::istreambuf_iterator<char>());
+  ASSERT_FALSE(tracked_bytes.empty());
+  EXPECT_EQ(tracked_bytes, plain_bytes);
+}
+
 TEST_F(CliTest, ItineraryPrints) {
   ASSERT_EQ(RunCommand(Cli() + " solve --in " + instance_path_ +
                        " --plan-out " + plan_path_),
