@@ -403,17 +403,12 @@ ApplyOutcome PlanningService::ApplyOne(const AtomicOp& op) {
       stats_.negative_impact_total += step->negative_impact;
       metrics_.RecordApplyMs(elapsed_ms);
       if (tracker_) {
-        // Route against the pre-migration partition (the cut that did the
-        // work), fold the op into the live partition, then charge the cost.
-        const std::vector<int> routed =
-            tracker_->RouteOp(planner_.instance(), op);
         const Status migrated =
-            tracker_->ApplyMigration(planner_.instance(), op);
+            tracker_->TrackAppliedOp(planner_.instance(), op, elapsed_ms);
         if (!migrated.ok()) {
           GEPC_LOG(Warning) << "shard migration failed (partition stale): "
                             << migrated.ToString();
         }
-        tracker_->RecordOpCost(routed, elapsed_ms);
         ++ops_since_rebalance_check_;
         if (options_.rebalance_every > 0 &&
             ops_since_rebalance_check_ >=
@@ -508,7 +503,6 @@ RebalanceOutcome PlanningService::DoRebalance() {
   }
   outcome.rebalanced = true;
   outcome.report = *rebalanced;
-  ++stats_.rebalances;
   stats_.last_rebalance_version = sequence_;
   return outcome;
 }
@@ -580,6 +574,7 @@ void PlanningService::PublishSnapshot() {
     stats_.shard_users_migrated = ts.users_reclassified;
     stats_.shard_events_migrated = ts.events_moved;
     stats_.shard_full_rebuilds = ts.full_rebuilds;
+    stats_.rebalances = ts.rebalances;
     stats_.shard_boundary_users = tracker_->partition().boundary_users.size();
     stats_.shard_skew = tracker_->Skew();
   }

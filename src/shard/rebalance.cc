@@ -12,48 +12,6 @@ namespace gepc {
 
 namespace {
 
-struct TrackerMetrics {
-  std::shared_ptr<obs::Gauge> skew_milli;
-  std::shared_ptr<obs::Gauge> boundary_users;
-  std::shared_ptr<obs::Counter> migrations;
-  std::shared_ptr<obs::Counter> migrated_users;
-  std::shared_ptr<obs::Counter> migrated_events;
-  std::shared_ptr<obs::Counter> full_rebuilds;
-  std::shared_ptr<obs::Counter> rebalances;
-  std::shared_ptr<obs::Histogram> rebalance_ms;
-
-  static const TrackerMetrics& Get() {
-    static const TrackerMetrics m = [] {
-      auto& reg = obs::Registry::Global();
-      TrackerMetrics t;
-      t.skew_milli = reg.GetGauge(
-          "gepc_shard_skew_milli",
-          "Per-shard load skew (max/mean, x1000) of the live tracker");
-      t.boundary_users = reg.GetGauge(
-          "gepc_shard_boundary_users",
-          "Boundary users in the live tracked partition");
-      t.migrations = reg.GetCounter(
-          "gepc_shard_migrations_total",
-          "Incremental shard migrations applied (ops that changed state)");
-      t.migrated_users = reg.GetCounter(
-          "gepc_shard_migrated_users_total",
-          "Users whose shard classification changed during migrations");
-      t.migrated_events = reg.GetCounter(
-          "gepc_shard_migrated_events_total",
-          "Events re-homed to another shard during migrations");
-      t.full_rebuilds = reg.GetCounter(
-          "gepc_shard_full_rebuild_total",
-          "Migrations degraded to a full rebuild (shard.migrate fault)");
-      t.rebalances = reg.GetCounter("gepc_shard_rebalance_total",
-                                    "Successful Lloyd rebalances");
-      t.rebalance_ms = reg.GetHistogram("gepc_shard_rebalance_ms",
-                                        "ShardTracker::Rebalance latency");
-      return t;
-    }();
-    return m;
-  }
-};
-
 /// Removes `id` from the sorted vector (no-op when absent).
 template <typename T>
 void SortedErase(std::vector<T>* v, T id) {
@@ -70,20 +28,17 @@ void SortedInsert(std::vector<T>* v, T id) {
 
 }  // namespace
 
-ShardTracker::ShardTracker(const Instance& instance, int num_shards,
-                           const VoronoiOptions& options)
+ShardTracker::ShardTracker(const Instance& instance, int num_shards)
     : num_shards_(std::max(1, num_shards)) {
   const ReachabilityFilter filter(instance);
   VoronoiResult lloyd;
   partition_ =
-      PartitionInstanceVoronoi(instance, filter, num_shards_, options, &lloyd);
+      PartitionInstanceVoronoi(instance, filter, num_shards_, {}, &lloyd);
   sites_ = std::move(lloyd.sites);
   event_locations_.reserve(static_cast<size_t>(instance.num_events()));
   for (const Event& e : instance.events()) event_locations_.push_back(e.location);
   shard_ms_.assign(static_cast<size_t>(num_shards_), 0.0);
   shard_ops_.assign(static_cast<size_t>(num_shards_), 0);
-  TrackerMetrics::Get().boundary_users->Set(
-      static_cast<int64_t>(partition_.boundary_users.size()));
 }
 
 std::vector<int> ShardTracker::RouteOp(const Instance& instance,
@@ -126,8 +81,6 @@ void ShardTracker::RecordOpCost(const std::vector<int>& shards,
       ++shard_ops_[static_cast<size_t>(s)];
     }
   }
-  TrackerMetrics::Get().skew_milli->Set(
-      static_cast<int64_t>(Skew() * 1000.0));
 }
 
 double ShardTracker::Skew() const {
@@ -211,7 +164,6 @@ void ShardTracker::FullRebuild(const Instance& instance) {
 
 Status ShardTracker::ApplyMigration(const Instance& instance,
                                     const AtomicOp& op) {
-  const TrackerMetrics& metrics = TrackerMetrics::Get();
   switch (op.kind) {
     case AtomicOp::Kind::kUtilityChanged:
     case AtomicOp::Kind::kLowerBoundChanged:
@@ -229,10 +181,6 @@ Status ShardTracker::ApplyMigration(const Instance& instance,
     FullRebuild(instance);
     ++stats_.full_rebuilds;
     ++stats_.migrations;
-    metrics.full_rebuilds->Increment();
-    metrics.migrations->Increment();
-    metrics.boundary_users->Set(
-        static_cast<int64_t>(partition_.boundary_users.size()));
     return Status::OK();
   }
 
@@ -265,7 +213,6 @@ Status ShardTracker::ApplyMigration(const Instance& instance,
                      op.event);
         partition_.event_shard[static_cast<size_t>(op.event)] = new_shard;
         ++stats_.events_moved;
-        metrics.migrated_events->Increment();
       }
       event_locations_[static_cast<size_t>(op.event)] = new_loc;
       // A user's classification can only change if the moved event entered
@@ -308,26 +255,29 @@ Status ShardTracker::ApplyMigration(const Instance& instance,
 
   ++stats_.migrations;
   stats_.users_reclassified += static_cast<uint64_t>(users_changed);
-  metrics.migrations->Increment();
-  metrics.migrated_users->Increment(static_cast<uint64_t>(users_changed));
-  metrics.boundary_users->Set(
-      static_cast<int64_t>(partition_.boundary_users.size()));
   return Status::OK();
 }
 
-Result<RebalanceReport> ShardTracker::Rebalance(const Instance& instance,
-                                                const VoronoiOptions& options) {
-  const TrackerMetrics& metrics = TrackerMetrics::Get();
-  obs::ScopedTimerMs timer(metrics.rebalance_ms.get());
+Status ShardTracker::TrackAppliedOp(const Instance& instance,
+                                    const AtomicOp& op, double elapsed_ms) {
+  const std::vector<int> routed = RouteOp(instance, op);
+  const Status migrated = ApplyMigration(instance, op);
+  RecordOpCost(routed, elapsed_ms);
+  return migrated;
+}
+
+Result<RebalanceReport> ShardTracker::Rebalance(const Instance& instance) {
+  static const std::shared_ptr<obs::Histogram> rebalance_ms =
+      obs::Registry::Global().GetHistogram("gepc_shard_rebalance_ms",
+                                           "ShardTracker::Rebalance latency");
+  obs::ScopedTimerMs timer(rebalance_ms.get());
   GEPC_RETURN_IF_ERROR(fault::Inject("shard.rebalance"));
 
   RebalanceReport report;
   report.skew_before = Skew();
 
-  VoronoiOptions opts = options;
-  if (opts.seed_sites.size() != static_cast<size_t>(num_shards_)) {
-    opts.seed_sites = sites_;  // warm start from the current sites
-  }
+  VoronoiOptions opts;
+  opts.seed_sites = sites_;  // warm start from the current sites
   const ReachabilityFilter filter(instance);
   VoronoiResult lloyd;
   ShardPartition fresh = PartitionInstanceVoronoi(instance, filter,
@@ -359,10 +309,6 @@ Result<RebalanceReport> ShardTracker::Rebalance(const Instance& instance,
   shard_ops_.assign(static_cast<size_t>(num_shards_), 0);
 
   ++stats_.rebalances;
-  metrics.rebalances->Increment();
-  metrics.skew_milli->Set(0);
-  metrics.boundary_users->Set(
-      static_cast<int64_t>(partition_.boundary_users.size()));
   return report;
 }
 

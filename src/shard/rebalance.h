@@ -60,8 +60,7 @@ class ShardTracker {
  public:
   /// Cuts `instance` into `num_shards` (clamped to >= 1) centroidal-Voronoi
   /// shards, Lloyd-seeded from the recursive-bisection cuts.
-  ShardTracker(const Instance& instance, int num_shards,
-               const VoronoiOptions& options = {});
+  ShardTracker(const Instance& instance, int num_shards);
 
   int num_shards() const { return num_shards_; }
   const std::vector<Point>& sites() const { return sites_; }
@@ -74,10 +73,6 @@ class ShardTracker {
   /// the op lands on boundary state and is global. Pure routing — never
   /// mutates the tracker.
   std::vector<int> RouteOp(const Instance& instance, const AtomicOp& op) const;
-
-  /// Charges `elapsed_ms` of apply work to `shards` (split evenly; an empty
-  /// list spreads the cost over every shard — global work).
-  void RecordOpCost(const std::vector<int>& shards, double elapsed_ms);
 
   /// Load imbalance: max over shards of l_s / mean(l_s), where
   /// l_s = recorded ms + 0.001 * recorded ops. 0 when num_shards < 2 or no
@@ -104,14 +99,20 @@ class ShardTracker {
   /// has never seen (kOutOfRange).
   Status ApplyMigration(const Instance& instance, const AtomicOp& op);
 
+  /// The per-op step for an op the planner has just applied to `instance`:
+  /// routes it against the partition as it was before the op (the cut that
+  /// did the work), migrates the partition (ApplyMigration), then charges
+  /// `elapsed_ms` to the routed shards. The cost is charged even when the
+  /// migration fails; the returned status is the migration's.
+  Status TrackAppliedOp(const Instance& instance, const AtomicOp& op,
+                        double elapsed_ms);
+
   /// Re-centers the sites with a Lloyd run warm-started from the current
-  /// sites (or `options.seed_sites` when it matches the shard count),
-  /// rebuilds the partition, and resets the load-accounting window.
+  /// sites, rebuilds the partition, and resets the load-accounting window.
   ///
   /// Fault point `shard.rebalance`: when armed and firing, returns the
   /// injected error and leaves sites, partition and load window untouched.
-  Result<RebalanceReport> Rebalance(const Instance& instance,
-                                    const VoronoiOptions& options = {});
+  Result<RebalanceReport> Rebalance(const Instance& instance);
 
   /// From-scratch reclassification of `instance` against the current sites
   /// — the reference the incremental path must match exactly. Exposed for
@@ -119,6 +120,10 @@ class ShardTracker {
   ShardPartition RebuildFromSites(const Instance& instance) const;
 
  private:
+  /// Charges `elapsed_ms` of apply work to `shards` (split evenly; an empty
+  /// list spreads the cost over every shard — global work).
+  void RecordOpCost(const std::vector<int>& shards, double elapsed_ms);
+
   /// True iff user i's budget admits the round trip to an event with this
   /// location and fee — ReachabilityFilter::CanReach's predicate, verbatim,
   /// usable against a location the instance no longer holds.
@@ -143,7 +148,7 @@ class ShardTracker {
   /// migrations need the OLD location to find the users losing reach.
   std::vector<Point> event_locations_;
 
-  // Load-accounting window (reset by Rebalance).
+  // Load-accounting window: only grows until Rebalance resets it.
   std::vector<double> shard_ms_;
   std::vector<uint64_t> shard_ops_;
 

@@ -226,10 +226,7 @@ Result<GepcResult> SolveSharded(const Instance& instance,
 
   const ReachabilityFilter filter(instance);
   const ShardPartition partition =
-      options.partitioner == ShardPartitioner::kVoronoi
-          ? PartitionInstanceVoronoi(instance, filter, options.shards,
-                                     options.voronoi)
-          : PartitionInstance(instance, filter, options.shards);
+      PartitionInstance(instance, filter, options.shards);
   const int k = partition.num_shards;
   if (stats != nullptr) {
     stats->shards = k;

@@ -5,7 +5,6 @@
 #include "core/instance.h"
 #include "gepc/solver.h"
 #include "shard/partition.h"
-#include "shard/voronoi.h"
 
 namespace gepc {
 
@@ -22,12 +21,6 @@ struct ShardedGepcOptions {
   /// Per-shard two-step solver configuration (algorithm, top-up, ...).
   /// greedy.seed acts as the master seed of the per-shard streams.
   GepcOptions gepc;
-  /// How to cut the instance: recursive bisection (the static default) or
-  /// centroidal-Voronoi cells (the rebalancer's partitioner — pass the
-  /// tracker's sites via voronoi.seed_sites to solve on a live cut).
-  ShardPartitioner partitioner = ShardPartitioner::kBisection;
-  /// Lloyd tuning when partitioner == kVoronoi (ignored otherwise).
-  VoronoiOptions voronoi;
 };
 
 /// What the partition/solve/merge pipeline did, for benches and tests.

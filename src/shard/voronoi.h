@@ -10,17 +10,6 @@
 
 namespace gepc {
 
-/// Which spatial partitioner cuts an instance into shards.
-enum class ShardPartitioner {
-  /// Recursive bisection of the occupied grid cells (PR 2's static cut).
-  kBisection,
-  /// Centroidal-Voronoi cells: Lloyd iterations over the user density,
-  /// seeded from the bisection cuts (or explicit sites). The partitioner
-  /// behind online rebalancing — warm-starting Lloyd from the previous
-  /// sites tracks a drifting user population without a full re-cut.
-  kVoronoi,
-};
-
 /// Tuning for the Lloyd iteration.
 struct VoronoiOptions {
   /// Centroid-update rounds. 0 runs a single assignment pass against the

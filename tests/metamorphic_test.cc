@@ -253,35 +253,6 @@ TEST(MetamorphicTest, VoronoiGridTranslationIsExactAtAssignmentLevel) {
   }
 }
 
-TEST(MetamorphicTest, VoronoiShardedSolveQuarterTurnIsInvariant) {
-  // Full pipeline under the rotation: explicit (rotated) seeds make the
-  // Lloyd run exactly equivariant, distances decide everything downstream,
-  // so the partition/solve/merge answer must agree bit-for-bit — the
-  // rotation analogue of ShardedSolverTranslationIsInvariant, which the
-  // axis-dependent bisection cut cannot offer.
-  const Instance base = MakeSnappedInstance(35, /*users=*/120, /*events=*/30);
-  const Instance rotated = TransformLocations(
-      base, [](const Point& p) { return Point{-p.y, p.x}; });
-
-  ShardedGepcOptions options;
-  options.shards = 4;
-  options.threads = 2;
-  options.partitioner = ShardPartitioner::kVoronoi;
-  options.voronoi.seed_sites = PickSeedSites(base, 4);
-  ShardedGepcOptions rotated_options = options;
-  rotated_options.voronoi.seed_sites = TransformSites(
-      options.voronoi.seed_sites,
-      [](const Point& p) { return Point{-p.y, p.x}; });
-
-  auto base_result = SolveSharded(base, options);
-  auto rotated_result = SolveSharded(rotated, rotated_options);
-  ASSERT_TRUE(base_result.ok()) << base_result.status();
-  ASSERT_TRUE(rotated_result.ok()) << rotated_result.status();
-  EXPECT_DOUBLE_EQ(base_result->total_utility,
-                   rotated_result->total_utility);
-  EXPECT_TRUE(base_result->plan == rotated_result->plan);
-}
-
 TEST(MetamorphicTest, PermutationMapsSolutionToSolution) {
   for (uint64_t seed : {7u, 19u}) {
     const Instance base = MakeSnappedInstance(seed);

@@ -131,14 +131,18 @@ TEST(PartitionTest, MoreShardsThanOccupiedCellsLeavesSpareShardsEmpty) {
 // centroidal-Voronoi cut must survive pathological geometry without
 // crashing and still emit a structurally valid partition.
 
+/// The two partitioners: the bisection cut SolveSharded uses and the
+/// centroidal-Voronoi cut the shard tracker uses.
+enum class Cut { kBisection, kVoronoi };
+
 /// Runs `instance` through one partitioner and checks the structural
 /// contract: every event in exactly one shard, every user classified
 /// exactly once, all ids in range.
 void CheckPartitionStructure(const Instance& instance, int num_shards,
-                             ShardPartitioner partitioner) {
+                             Cut cut) {
   const ReachabilityFilter filter(instance);
   const ShardPartition partition =
-      partitioner == ShardPartitioner::kVoronoi
+      cut == Cut::kVoronoi
           ? PartitionInstanceVoronoi(instance, filter, num_shards)
           : PartitionInstance(instance, filter, num_shards);
   ASSERT_EQ(partition.num_shards, std::max(1, num_shards));
@@ -185,10 +189,9 @@ TEST(PartitionDegenerateTest, AllUsersAtOnePointSurvivesBothPartitioners) {
   // Every Lloyd cell but one is empty and every bisection split is forced
   // to one side; both must still cut the events cleanly.
   const Instance instance = MakeCoincidentUserInstance(30);
-  for (const auto partitioner :
-       {ShardPartitioner::kBisection, ShardPartitioner::kVoronoi}) {
+  for (const Cut cut : {Cut::kBisection, Cut::kVoronoi}) {
     for (const int k : {1, 2, 4}) {
-      CheckPartitionStructure(instance, k, partitioner);
+      CheckPartitionStructure(instance, k, cut);
     }
   }
 }
@@ -205,18 +208,16 @@ TEST(PartitionDegenerateTest, FewerUsersThanShardsSurvivesBothPartitioners) {
     events.push_back(event);
   }
   const Instance instance(std::move(users), std::move(events));
-  for (const auto partitioner :
-       {ShardPartitioner::kBisection, ShardPartitioner::kVoronoi}) {
-    CheckPartitionStructure(instance, 5, partitioner);
+  for (const Cut cut : {Cut::kBisection, Cut::kVoronoi}) {
+    CheckPartitionStructure(instance, 5, cut);
   }
 }
 
 TEST(PartitionDegenerateTest, EmptyInstanceSurvivesBothPartitioners) {
   const Instance instance;
-  for (const auto partitioner :
-       {ShardPartitioner::kBisection, ShardPartitioner::kVoronoi}) {
+  for (const Cut cut : {Cut::kBisection, Cut::kVoronoi}) {
     for (const int k : {1, 3}) {
-      CheckPartitionStructure(instance, k, partitioner);
+      CheckPartitionStructure(instance, k, cut);
     }
   }
 }

@@ -368,19 +368,18 @@ int CmdApply(int argc, char** argv) {
     // ApplyBatch cannot interleave tracker maintenance between ops, so the
     // sharded path replays the sequential loop here: one Apply per op,
     // stopping at the first validation failure (prior ops stay applied),
-    // with routing / migration / load accounting after each success.
+    // with one tracker step (route, migrate, charge) after each success.
     ShardTracker tracker(planner->instance(), shards);
     for (const AtomicOp& op : ops) {
       const auto started = std::chrono::steady_clock::now();
       auto step = planner->Apply(op);
       if (!step.ok()) return Fail(step.status().ToString());
-      const std::vector<int> routed = tracker.RouteOp(planner->instance(), op);
-      const Status migrated = tracker.ApplyMigration(planner->instance(), op);
+      const Status migrated = tracker.TrackAppliedOp(
+          planner->instance(), op,
+          std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - started)
+              .count());
       if (!migrated.ok()) return Fail(migrated.ToString());
-      tracker.RecordOpCost(
-          routed, std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - started)
-                      .count());
       batch.negative_impact += step->negative_impact;
       ++batch.ops_applied;
       if (rebalance_every > 0 && batch.ops_applied % rebalance_every == 0 &&
