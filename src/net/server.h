@@ -58,7 +58,9 @@ struct HandlerResult {
   bool shutdown = false;
 };
 
-/// Counters a test can read without scraping Prometheus text.
+/// The gepc_net_* values a test can read without scraping Prometheus text.
+/// They come from the process-global registry, so with several NetServers
+/// in one process they are sums over all of them, not this server's own.
 struct NetServerCounters {
   uint64_t connections_accepted = 0;
   int64_t active_connections = 0;
@@ -137,6 +139,7 @@ class NetServer {
 
   bool stopped() const { return stopped_.load(std::memory_order_acquire); }
 
+  /// Reads the process-wide gepc_net_* families (see NetServerCounters).
   NetServerCounters Counters() const;
 
  private:

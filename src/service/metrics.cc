@@ -7,12 +7,15 @@ std::string RenderServiceStatsText(const ServiceStats& stats) {
   obs::AppendCounterText("gepc_service_ops_submitted_total",
                          "operations accepted into the queue",
                          stats.ops_submitted, &out);
-  obs::AppendCounterText("gepc_service_ops_applied_total",
-                         "operations journaled and applied", stats.ops_applied,
-                         &out);
-  obs::AppendCounterText("gepc_service_ops_rejected_total",
-                         "operations that failed validation",
-                         stats.ops_rejected, &out);
+  obs::AppendCounterText(
+      "gepc_service_ops_applied_total",
+      "operations journaled and applied, plus rebuilds that succeeded",
+      stats.ops_applied, &out);
+  obs::AppendCounterText(
+      "gepc_service_ops_rejected_total",
+      "operations journaled but failed validation, operations whose journal "
+      "append failed, and rebuilds that failed",
+      stats.ops_rejected, &out);
   obs::AppendCounterText("gepc_service_ops_dropped_total",
                          "operations dropped by shutdown or backpressure",
                          stats.ops_dropped, &out);
