@@ -35,7 +35,6 @@ gepc::Result<gepc::Instance> MakeFestival(double headline_fee) {
   });
   for (int k = 0; k < 4; ++k) {
     const int j = by_capacity[static_cast<size_t>(k)];
-    gepc::Event e = instance->event(j);
     std::vector<gepc::User> users(instance->users());
     std::vector<gepc::Event> events(instance->events());
     events[static_cast<size_t>(j)].fee = headline_fee;

@@ -45,7 +45,7 @@ TEST(FormatMegabytesTest, OneDecimal) {
 TEST(RunMeasuredTest, MeasuresElapsedTime) {
   const Measurement m = RunMeasured([] {
     volatile double x = 0.0;
-    for (int i = 0; i < 2000000; ++i) x += 1.0;
+    for (int i = 0; i < 2000000; ++i) x = x + 1.0;
   });
   EXPECT_GT(m.seconds, 0.0);
   EXPECT_LT(m.seconds, 10.0);

@@ -23,8 +23,6 @@ using testing_support::MakePaperInstance;
 TEST(FeesTest, TourCostAddsFees) {
   Instance instance = MakePaperInstance();
   const double travel_only = TourCost(instance, 0, {kE1, kE2});
-  Event e1 = instance.event(kE1);
-  e1.fee = 3.5;
   // Mutate via a rebuilt instance (Event fee is a plain field).
   std::vector<User> users(instance.users());
   std::vector<Event> events(instance.events());

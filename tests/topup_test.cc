@@ -64,7 +64,9 @@ TEST(TopUpUsersTest, OnlyTouchesListedUsers) {
   Plan plan(5, 4);
   TopUpUsers(instance, {2}, &plan);
   for (int i = 0; i < 5; ++i) {
-    if (i != 2) EXPECT_TRUE(plan.events_of(i).empty()) << "user " << i;
+    if (i != 2) {
+      EXPECT_TRUE(plan.events_of(i).empty()) << "user " << i;
+    }
   }
   EXPECT_FALSE(plan.events_of(2).empty());
 }
